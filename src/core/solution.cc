@@ -353,16 +353,6 @@ void MisState::OnVertexRemoving(VertexId v) {
   count_[v] = 0;
 }
 
-namespace {
-
-// LinkPair arrays travel as interleaved (next, prev) i32 arrays.
-void AppendLinks(std::vector<int32_t>* out, int32_t next, int32_t prev) {
-  out->push_back(next);
-  out->push_back(prev);
-}
-
-}  // namespace
-
 void MisState::SaveTo(SnapshotWriter* w) const {
   DYNMIS_CHECK(transitions_.empty());  // Quiescent-point contract.
   w->BeginSection("mis");
@@ -370,35 +360,23 @@ void MisState::SaveTo(SnapshotWriter* w) const {
   w->PutU8(lazy_ ? 1 : 0);
   w->PutI64(solution_size_);
   w->PutU8Array(status_);
-  w->PutI32Array(count_);
+  w->BorrowI32Array(count_);
   if (lazy_) {
     w->EndSection();
     return;
   }
-  w->PutI32Array(inb_head_);
-  w->PutI32Array(bar1_head_);
-  w->PutI32Array(bar1_size_);
-  w->PutI32Array(bar1_edge_);
-  std::vector<int32_t> links;
-  links.reserve(2 * inb_links_.size());
-  for (const LinkPair& link : inb_links_) {
-    AppendLinks(&links, link.next, link.prev);
-  }
-  w->PutI32Array(links);
-  links.clear();
-  for (const LinkPair& link : bar1_links_) {
-    AppendLinks(&links, link.next, link.prev);
-  }
-  w->PutI32Array(links);
+  w->BorrowI32Array(inb_head_);
+  w->BorrowI32Array(bar1_head_);
+  w->BorrowI32Array(bar1_size_);
+  w->BorrowI32Array(bar1_edge_);
+  // LinkPair arrays travel as interleaved (next, prev) i32 arrays.
+  w->BorrowI32Array(inb_links_);
+  w->BorrowI32Array(bar1_links_);
   if (k_ >= 2) {
-    w->PutI32Array(bar2_head_);
-    w->PutI32Array(bar2_edge0_);
-    w->PutI32Array(bar2_edge1_);
-    links.clear();
-    for (const LinkPair& link : bar2_links_) {
-      AppendLinks(&links, link.next, link.prev);
-    }
-    w->PutI32Array(links);
+    w->BorrowI32Array(bar2_head_);
+    w->BorrowI32Array(bar2_edge0_);
+    w->BorrowI32Array(bar2_edge1_);
+    w->BorrowI32Array(bar2_links_);
   }
   w->EndSection();
 }
@@ -450,18 +428,13 @@ bool MisState::LoadFrom(SnapshotReader* r) {
     return true;
   };
   auto load_links = [&](std::vector<LinkPair>* out) {
-    std::vector<int32_t> flat;
-    if (!r->GetI32Array(&flat)) return false;
-    if (flat.size() != 2 * link_cap) return fail("link array size mismatch");
-    out->resize(link_cap);
-    for (size_t i = 0; i < link_cap; ++i) {
-      const int32_t next = flat[2 * i];
-      const int32_t prev = flat[2 * i + 1];
-      if (next < kInvalidEdge || next >= g_->EdgeCapacity() ||
-          prev < kInvalidEdge || prev >= g_->EdgeCapacity()) {
+    if (!r->GetI32Records(out)) return false;
+    if (out->size() != link_cap) return fail("link array size mismatch");
+    for (const LinkPair& link : *out) {
+      if (link.next < kInvalidEdge || link.next >= g_->EdgeCapacity() ||
+          link.prev < kInvalidEdge || link.prev >= g_->EdgeCapacity()) {
         return fail("link edge id out of range");
       }
-      (*out)[i] = LinkPair{next, prev};
     }
     return true;
   };

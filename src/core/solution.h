@@ -31,6 +31,7 @@
 #define DYNMIS_SRC_CORE_SOLUTION_H_
 
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "src/graph/dynamic_graph.h"
@@ -204,6 +205,10 @@ class MisState {
     EdgeId next = kInvalidEdge;
     EdgeId prev = kInvalidEdge;
   };
+  // Snapshots borrow the link arrays as flat interleaved (next, prev) i32
+  // arrays, so the record must stay exactly two i32s.
+  static_assert(sizeof(LinkPair) == 2 * sizeof(int32_t) &&
+                std::is_trivially_copyable_v<LinkPair>);
 
   // Flat index of edge e's link slot on the side of vertex v.
   int Slot(EdgeId e, VertexId v) const { return 2 * e + g_->Side(e, v); }

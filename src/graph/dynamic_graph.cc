@@ -1,7 +1,5 @@
 #include "src/graph/dynamic_graph.h"
 
-#include <algorithm>
-
 #include "src/util/memory.h"
 
 namespace dynmis {
@@ -232,24 +230,21 @@ void DynamicGraph::SaveTo(SnapshotWriter* w) const {
   w->PutI64(num_edges_);
   w->PutI32(VertexCapacity());
   w->PutI32(EdgeCapacity());
-  std::vector<int32_t> scratch;
-  scratch.reserve(4 * static_cast<size_t>(EdgeCapacity()));
-  for (const VertexRec& rec : vertices_) scratch.push_back(rec.head);
-  w->PutI32Array(scratch);
-  scratch.clear();
-  for (const VertexRec& rec : vertices_) scratch.push_back(rec.degree);
-  w->PutI32Array(scratch);
-  scratch.clear();
-  for (const EdgeRec& rec : edges_) {
-    scratch.push_back(rec.endpoint[0]);
-    scratch.push_back(rec.endpoint[1]);
-    scratch.push_back(rec.next[0]);
-    scratch.push_back(rec.next[1]);
+  // VertexRec interleaves head and degree; the format stores them as two
+  // arrays, so these are copied.
+  std::vector<int32_t> scratch(vertices_.size());
+  for (size_t v = 0; v < vertices_.size(); ++v) {
+    scratch[v] = vertices_[v].head;
   }
   w->PutI32Array(scratch);
-  w->PutI32Array(edge_prev_);
-  w->PutI32Array(free_vertices_);
-  w->PutI32Array(free_edges_);
+  for (size_t v = 0; v < vertices_.size(); ++v) {
+    scratch[v] = vertices_[v].degree;
+  }
+  w->PutI32Array(scratch);
+  w->BorrowI32Array(edges_);
+  w->BorrowI32Array(edge_prev_);
+  w->BorrowI32Array(free_vertices_);
+  w->BorrowI32Array(free_edges_);
   w->EndSection();
 }
 
@@ -264,9 +259,10 @@ bool DynamicGraph::LoadFrom(SnapshotReader* r) {
   const int64_t ne = r->GetI64();
   const int32_t vcap = r->GetI32();
   const int32_t ecap = r->GetI32();
-  std::vector<int32_t> heads, degrees, edge_recs, prev, free_v, free_e;
+  std::vector<int32_t> heads, degrees, prev, free_v, free_e;
+  std::vector<EdgeRec> edges;
   if (!r->GetI32Array(&heads) || !r->GetI32Array(&degrees) ||
-      !r->GetI32Array(&edge_recs) || !r->GetI32Array(&prev) ||
+      !r->GetI32Records(&edges) || !r->GetI32Array(&prev) ||
       !r->GetI32Array(&free_v) || !r->GetI32Array(&free_e)) {
     return false;
   }
@@ -276,7 +272,7 @@ bool DynamicGraph::LoadFrom(SnapshotReader* r) {
   if (ne < 0 || ne > ecap) return fail("edge count out of range");
   if (heads.size() != static_cast<size_t>(vcap) ||
       degrees.size() != static_cast<size_t>(vcap) ||
-      edge_recs.size() != 4 * static_cast<size_t>(ecap) ||
+      edges.size() != static_cast<size_t>(ecap) ||
       prev.size() != 2 * static_cast<size_t>(ecap)) {
     return fail("array sizes do not match declared capacities");
   }
@@ -301,8 +297,8 @@ bool DynamicGraph::LoadFrom(SnapshotReader* r) {
 
   int64_t alive_edges = 0;
   for (int32_t e = 0; e < ecap; ++e) {
-    const int32_t u = edge_recs[4 * e + 0];
-    const int32_t v = edge_recs[4 * e + 1];
+    const int32_t u = edges[e].endpoint[0];
+    const int32_t v = edges[e].endpoint[1];
     if (u == kInvalidVertex) continue;  // Dead: links may be stale.
     ++alive_edges;
     if (u < 0 || u >= vcap || v < 0 || v >= vcap || u == v) {
@@ -312,8 +308,7 @@ bool DynamicGraph::LoadFrom(SnapshotReader* r) {
       return fail("edge incident to a dead vertex");
     }
     for (int s = 0; s < 2; ++s) {
-      if (edge_recs[4 * e + 2 + s] < kInvalidEdge ||
-          edge_recs[4 * e + 2 + s] >= ecap) {
+      if (edges[e].next[s] < kInvalidEdge || edges[e].next[s] >= ecap) {
         return fail("adjacency link out of range");
       }
       if (prev[2 * e + s] < kInvalidEdge || prev[2 * e + s] >= ecap) {
@@ -323,25 +318,6 @@ bool DynamicGraph::LoadFrom(SnapshotReader* r) {
   }
   if (alive_edges != ne) return fail("alive-edge count mismatch");
   if (degree_sum != 2 * ne) return fail("degree sum does not equal 2m");
-
-  // The graph is simple: no two alive edges may share an endpoint pair
-  // (counts in the algorithm layers are per neighbour, not per edge).
-  {
-    std::vector<uint64_t> pairs;
-    pairs.reserve(static_cast<size_t>(ne));
-    for (int32_t e = 0; e < ecap; ++e) {
-      const int32_t u = edge_recs[4 * e + 0];
-      if (u == kInvalidVertex) continue;
-      const int32_t v = edge_recs[4 * e + 1];
-      const uint64_t lo = static_cast<uint32_t>(u < v ? u : v);
-      const uint64_t hi = static_cast<uint32_t>(u < v ? v : u);
-      pairs.push_back((lo << 32) | hi);
-    }
-    std::sort(pairs.begin(), pairs.end());
-    if (std::adjacent_find(pairs.begin(), pairs.end()) != pairs.end()) {
-      return fail("parallel edges");
-    }
-  }
 
   // --- Validation pass 2: free lists exactly cover the dead ids. ------------
   if (free_v.size() != static_cast<size_t>(vcap) - static_cast<size_t>(nv)) {
@@ -359,7 +335,8 @@ bool DynamicGraph::LoadFrom(SnapshotReader* r) {
   }
   seen.assign(static_cast<size_t>(ecap), 0);
   for (int32_t e : free_e) {
-    if (e < 0 || e >= ecap || edge_recs[4 * e] != kInvalidVertex || seen[e]) {
+    if (e < 0 || e >= ecap || edges[e].endpoint[0] != kInvalidVertex ||
+        seen[e]) {
       return fail("free-edge list entry invalid or duplicated");
     }
     seen[e] = 1;
@@ -370,50 +347,47 @@ bool DynamicGraph::LoadFrom(SnapshotReader* r) {
   // each visited edge is alive and incident, that back-links mirror the
   // forward traversal, and that no edge side is visited twice. Together with
   // degree_sum == 2m this proves each alive edge sits in exactly its two
-  // endpoints' lists and that no chain is cyclic or cross-linked.
+  // endpoints' lists and that no chain is cyclic or cross-linked. The graph
+  // must also be simple (counts in the algorithm layers are per neighbour,
+  // not per edge): a neighbour stamped twice in one list is a parallel edge.
   std::vector<uint8_t> side_seen(2 * static_cast<size_t>(ecap), 0);
-  auto side_of = [&](int32_t e, int32_t v) {
-    return edge_recs[4 * e + 0] == v ? 0 : 1;
-  };
+  std::vector<int32_t> stamp(static_cast<size_t>(vcap), kInvalidVertex);
   for (int32_t v = 0; v < vcap; ++v) {
     if (degrees[v] < 0) continue;
     int32_t e = heads[v];
     int32_t expected_prev = kInvalidEdge;
     for (int32_t step = 0; step < degrees[v]; ++step) {
       if (e == kInvalidEdge) return fail("adjacency chain shorter than degree");
-      if (edge_recs[4 * e + 0] != v && edge_recs[4 * e + 1] != v) {
+      const EdgeRec& rec = edges[e];
+      if (rec.endpoint[0] != v && rec.endpoint[1] != v) {
         return fail("adjacency chain visits a non-incident edge");
       }
-      if (edge_recs[4 * e + 0] == kInvalidVertex) {
+      if (rec.endpoint[0] == kInvalidVertex) {
         return fail("adjacency chain visits a dead edge");
       }
-      const int s = side_of(e, v);
+      const int s = rec.endpoint[0] == v ? 0 : 1;
       if (side_seen[2 * e + s]) return fail("adjacency chain revisits an edge");
       side_seen[2 * e + s] = 1;
       if (prev[2 * e + s] != expected_prev) {
         return fail("adjacency back-link mismatch");
       }
+      const int32_t u = rec.endpoint[1 - s];
+      if (stamp[u] == v) return fail("parallel edges");
+      stamp[u] = v;
       expected_prev = e;
-      e = edge_recs[4 * e + 2 + s];
+      e = rec.next[s];
     }
     if (e != kInvalidEdge) return fail("adjacency chain longer than degree");
   }
 
-  // --- Adopt: rebuild the flat arrays (Reserve avoids growth churn). --------
+  // --- Adopt: the edge records are already in their final layout. ----------
   DynamicGraph loaded;
-  loaded.Reserve(vcap, ecap);
   loaded.vertices_.resize(static_cast<size_t>(vcap));
   for (int32_t v = 0; v < vcap; ++v) {
     loaded.vertices_[v].head = heads[v];
     loaded.vertices_[v].degree = degrees[v];
   }
-  loaded.edges_.resize(static_cast<size_t>(ecap));
-  for (int32_t e = 0; e < ecap; ++e) {
-    loaded.edges_[e].endpoint[0] = edge_recs[4 * e + 0];
-    loaded.edges_[e].endpoint[1] = edge_recs[4 * e + 1];
-    loaded.edges_[e].next[0] = edge_recs[4 * e + 2];
-    loaded.edges_[e].next[1] = edge_recs[4 * e + 3];
-  }
+  loaded.edges_ = std::move(edges);
   loaded.edge_prev_ = std::move(prev);
   loaded.free_vertices_ = std::move(free_v);
   loaded.free_edges_ = std::move(free_e);

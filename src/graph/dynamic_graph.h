@@ -20,6 +20,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -220,6 +221,10 @@ class DynamicGraph {
     VertexId endpoint[2] = {kInvalidVertex, kInvalidVertex};
     EdgeId next[2] = {kInvalidEdge, kInvalidEdge};
   };
+  // Snapshots borrow edges_ as a flat i32 array (endpoint0, endpoint1,
+  // next0, next1 per edge), so the record must stay exactly four i32s.
+  static_assert(sizeof(EdgeRec) == 4 * sizeof(int32_t) &&
+                std::is_trivially_copyable_v<EdgeRec>);
 
   // Which slot of edge `e` belongs to endpoint `v`.
   int SideOf(EdgeId e, VertexId v) const {

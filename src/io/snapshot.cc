@@ -1,5 +1,6 @@
 #include "src/io/snapshot.h"
 
+#include <bit>
 #include <cstring>
 #include <istream>
 #include <ostream>
@@ -8,6 +9,12 @@
 
 namespace dynmis {
 namespace {
+
+// Arrays travel as their in-memory bytes (memcpy both ways) and the CRC
+// loads eight input bytes as two native u32s; both assume a little-endian
+// host, which is the only kind this library builds for.
+static_assert(std::endian::native == std::endian::little,
+              "snapshot codecs assume a little-endian host");
 
 constexpr char kMagic[8] = {'D', 'Y', 'N', 'M', 'I', 'S', 'S', 'N'};
 // A snapshot holds a handful of sections (engine, graph, one or two per
@@ -38,24 +45,50 @@ bool ReadExact(std::istream& in, char* data, size_t size) {
   return static_cast<size_t>(in.gcount()) == size;
 }
 
+// Slicing-by-8 tables: table[0] is the classic bytewise table, and
+// table[k][b] is the CRC register after byte b followed by k zero bytes, so
+// one step folds eight input bytes with eight independent lookups.
+struct CrcTables {
+  uint32_t table[8][256];
+};
+
+constexpr CrcTables MakeCrcTables() {
+  CrcTables t{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
+    }
+    t.table[0][i] = c;
+  }
+  for (int k = 1; k < 8; ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      const uint32_t prev = t.table[k - 1][i];
+      t.table[k][i] = (prev >> 8) ^ t.table[0][prev & 0xff];
+    }
+  }
+  return t;
+}
+
+constexpr CrcTables kCrc = MakeCrcTables();
+
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t size, uint32_t seed) {
-  static const uint32_t* table = [] {
-    static uint32_t t[256];
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int bit = 0; bit < 8; ++bit) {
-        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
+  const auto& t = kCrc.table;
   const unsigned char* bytes = static_cast<const unsigned char*>(data);
   uint32_t crc = ~seed;
-  for (size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ bytes[i]) & 0xff] ^ (crc >> 8);
+  for (; size >= 8; bytes += 8, size -= 8) {
+    uint32_t lo, hi;
+    std::memcpy(&lo, bytes, 4);
+    std::memcpy(&hi, bytes + 4, 4);
+    lo ^= crc;
+    crc = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^ t[5][(lo >> 16) & 0xff] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xff] ^ t[2][(hi >> 8) & 0xff] ^
+          t[1][(hi >> 16) & 0xff] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++bytes, --size) {
+    crc = t[0][(crc ^ *bytes) & 0xff] ^ (crc >> 8);
   }
   return ~crc;
 }
@@ -67,7 +100,7 @@ void SnapshotWriter::BeginSection(const std::string& name) {
   DYNMIS_CHECK(!name.empty());
   std::string full = prefix_ + name;
   DYNMIS_CHECK(full.size() <= kMaxSectionNameLen);
-  sections_.push_back(Section{std::move(full), {}});
+  sections_.push_back(Section{std::move(full), {}, {}});
   in_section_ = true;
 }
 
@@ -78,17 +111,17 @@ void SnapshotWriter::EndSection() {
 
 void SnapshotWriter::PutU8(uint8_t value) {
   DYNMIS_CHECK(in_section_);
-  AppendLe(&sections_.back().payload, value, 1);
+  AppendLe(&sections_.back().copied, value, 1);
 }
 
 void SnapshotWriter::PutU32(uint32_t value) {
   DYNMIS_CHECK(in_section_);
-  AppendLe(&sections_.back().payload, value, 4);
+  AppendLe(&sections_.back().copied, value, 4);
 }
 
 void SnapshotWriter::PutU64(uint64_t value) {
   DYNMIS_CHECK(in_section_);
-  AppendLe(&sections_.back().payload, value, 8);
+  AppendLe(&sections_.back().copied, value, 8);
 }
 
 void SnapshotWriter::PutDouble(double value) {
@@ -100,34 +133,39 @@ void SnapshotWriter::PutDouble(double value) {
 void SnapshotWriter::PutString(const std::string& value) {
   PutU64(value.size());
   DYNMIS_CHECK(in_section_);
-  sections_.back().payload.append(value);
+  sections_.back().copied.append(value);
 }
 
 void SnapshotWriter::PutI32Array(const std::vector<int32_t>& values) {
   PutU64(values.size());
-  DYNMIS_CHECK(in_section_);
-  // Bulk little-endian encode straight into the payload: i32 arrays are the
-  // overwhelming bulk of a snapshot (graph + MisState), and save cost is
-  // measured inside the bench driver's timed loop, so the per-byte
-  // push_back of AppendLe would severalfold the reported durability tax.
-  std::string& payload = sections_.back().payload;
-  const size_t offset = payload.size();
-  payload.resize(offset + 4 * values.size());
-  char* out = payload.data() + offset;
-  for (size_t i = 0; i < values.size(); ++i) {
-    const uint32_t v = static_cast<uint32_t>(values[i]);
-    out[4 * i + 0] = static_cast<char>(v);
-    out[4 * i + 1] = static_cast<char>(v >> 8);
-    out[4 * i + 2] = static_cast<char>(v >> 16);
-    out[4 * i + 3] = static_cast<char>(v >> 24);
-  }
+  std::string& copied = sections_.back().copied;
+  copied.append(reinterpret_cast<const char*>(values.data()),
+                values.size() * sizeof(int32_t));
 }
 
 void SnapshotWriter::PutU8Array(const std::vector<uint8_t>& values) {
   PutU64(values.size());
-  DYNMIS_CHECK(in_section_);
-  sections_.back().payload.append(
-      reinterpret_cast<const char*>(values.data()), values.size());
+  std::string& copied = sections_.back().copied;
+  copied.append(reinterpret_cast<const char*>(values.data()), values.size());
+}
+
+void SnapshotWriter::BorrowSpan(const void* data, size_t count) {
+  PutU64(count);
+  Section& section = sections_.back();
+  const size_t bytes = count * sizeof(int32_t);
+  section.borrowed.push_back(
+      Borrowed{section.copied.size(), static_cast<const char*>(data), bytes});
+}
+
+template <typename Fn>
+void SnapshotWriter::ForEachPiece(const Section& section, Fn&& fn) {
+  size_t copied = 0;
+  for (const Borrowed& span : section.borrowed) {
+    fn(section.copied.data() + copied, span.offset - copied);
+    fn(span.data, span.size);
+    copied = span.offset;
+  }
+  fn(section.copied.data() + copied, section.copied.size() - copied);
 }
 
 SnapshotStatus SnapshotWriter::WriteTo(std::ostream& out) const {
@@ -137,16 +175,22 @@ SnapshotStatus SnapshotWriter::WriteTo(std::ostream& out) const {
   AppendLe(&header, kSnapshotVersion, 4);
   AppendLe(&header, sections_.size(), 4);
   for (const Section& section : sections_) {
+    uint64_t size = 0;
+    uint32_t crc = 0;
+    ForEachPiece(section, [&](const char* data, size_t bytes) {
+      size += bytes;
+      crc = Crc32(data, bytes, crc);
+    });
     AppendLe(&header, section.name.size(), 2);
     header.append(section.name);
-    AppendLe(&header, section.payload.size(), 8);
-    AppendLe(&header, Crc32(section.payload.data(), section.payload.size()),
-             4);
+    AppendLe(&header, size, 8);
+    AppendLe(&header, crc, 4);
   }
   out.write(header.data(), static_cast<std::streamsize>(header.size()));
   for (const Section& section : sections_) {
-    out.write(section.payload.data(),
-              static_cast<std::streamsize>(section.payload.size()));
+    ForEachPiece(section, [&](const char* data, size_t bytes) {
+      if (bytes > 0) out.write(data, static_cast<std::streamsize>(bytes));
+    });
   }
   out.flush();
   if (!out.good()) return SnapshotStatus::Error("snapshot: write failed");
@@ -217,7 +261,14 @@ SnapshotStatus SnapshotReader::ReadFrom(std::istream& in) {
 
   for (const TableEntry& entry : table) {
     std::string payload;
+    // Size the payload up front only when the stream already holds all of
+    // it, so a corrupt length still cannot force a huge allocation.
+    const std::streamsize available = in.rdbuf()->in_avail();
+    if (available > 0 && static_cast<uint64_t>(available) >= entry.size) {
+      payload.reserve(static_cast<size_t>(entry.size));
+    }
     uint64_t remaining = entry.size;
+    uint32_t crc = 0;
     while (remaining > 0) {
       const size_t chunk =
           remaining > kReadChunk ? kReadChunk : static_cast<size_t>(remaining);
@@ -227,9 +278,11 @@ SnapshotStatus SnapshotReader::ReadFrom(std::istream& in) {
         return fail("snapshot: truncated payload of section '" + entry.name +
                     "'");
       }
+      // CRC the chunk while it is still in cache.
+      crc = Crc32(payload.data() + offset, chunk, crc);
       remaining -= chunk;
     }
-    if (Crc32(payload.data(), payload.size()) != entry.crc) {
+    if (crc != entry.crc) {
       return fail("snapshot: CRC mismatch in section '" + entry.name +
                   "' (corrupted data)");
     }
@@ -324,22 +377,22 @@ std::string SnapshotReader::GetString() {
   return data ? std::string(data, static_cast<size_t>(size)) : std::string();
 }
 
-bool SnapshotReader::GetI32Array(std::vector<int32_t>* out) {
-  const uint64_t count = GetU64();
-  if (!ok_) return false;
-  if (current_ == nullptr || count > (current_->size() - cursor_) / 4) {
+const char* SnapshotReader::TakeI32Array(size_t fields, size_t* count) {
+  const uint64_t declared = GetU64();
+  if (!ok_) return nullptr;
+  if (current_ == nullptr ||
+      declared > (current_->size() - cursor_) / sizeof(int32_t)) {
     Fail("snapshot: malformed array length in section '" + current_name_ +
          "'");
-    return false;
+    return nullptr;
   }
-  const char* data = Take(4 * static_cast<size_t>(count));
-  if (data == nullptr) return false;
-  out->resize(static_cast<size_t>(count));
-  for (size_t i = 0; i < count; ++i) {
-    (*out)[i] = static_cast<int32_t>(
-        static_cast<uint32_t>(DecodeLe(data + 4 * i, 4)));
+  if (declared % fields != 0) {
+    Fail("snapshot: array in section '" + current_name_ +
+         "' is not a whole number of records");
+    return nullptr;
   }
-  return true;
+  *count = static_cast<size_t>(declared);
+  return Take(*count * sizeof(int32_t));
 }
 
 bool SnapshotReader::GetU8Array(std::vector<uint8_t>* out) {

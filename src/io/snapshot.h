@@ -24,21 +24,28 @@
 // zero values once the reader has failed — malformed input can produce an
 // error, never undefined behaviour.
 //
-// Both directions buffer the whole container in memory (the header's CRC
-// table must precede the payloads, and every payload is CRC-verified before
-// any of it is interpreted), so save/load transiently hold roughly the
-// serialized engine state on top of the live one. If that tax ever bites at
-// larger scale, the follow-up is a streaming layout with per-section
-// trailer CRCs (see ROADMAP).
+// The writer does not stage the bulk of a snapshot. Scalars and small
+// derived arrays are copied into the section, but the large live arrays
+// (graph edge records, MisState's per-vertex and per-edge lists) are
+// recorded as borrowed spans over the producer's own memory
+// (BorrowI32Array). WriteTo chains each section's CRC over its pieces,
+// writes the header, then streams the pieces straight to the sink. The
+// lifetime contract: call WriteTo before any borrowed array is mutated,
+// resized or freed — i.e. SaveTo and WriteTo back to back on the thread
+// that owns the engine, at a quiescent point. The reader still buffers the
+// whole container, since every payload is CRC-verified before any of it
+// is interpreted.
 
 #ifndef DYNMIS_SRC_IO_SNAPSHOT_H_
 #define DYNMIS_SRC_IO_SNAPSHOT_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <iosfwd>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace dynmis {
@@ -66,9 +73,9 @@ struct SnapshotStatus {
 // `seed` chains incremental computation; pass the previous return value.
 uint32_t Crc32(const void* data, size_t size, uint32_t seed = 0);
 
-// Accumulates named sections in memory, then serializes the container to a
-// stream. Values are appended little-endian through the typed Put* methods
-// between BeginSection/EndSection.
+// Accumulates named sections, then serializes the container to a stream.
+// Values are appended little-endian through the typed Put* methods (copied)
+// and BorrowI32Array (referenced) between BeginSection/EndSection.
 class SnapshotWriter {
  public:
   void BeginSection(const std::string& name);
@@ -93,15 +100,41 @@ class SnapshotWriter {
   void PutI32Array(const std::vector<int32_t>& values);
   void PutU8Array(const std::vector<uint8_t>& values);
 
+  // Encodes exactly like PutI32Array over the i32 fields of `records`, but
+  // references the caller's array instead of copying it. T is int32_t or a
+  // trivially copyable record made only of i32 fields (the graph's EdgeRec,
+  // MisState's LinkPair), read in memory order. The array must outlive the
+  // last WriteTo and stay unmodified until then (see the header comment).
+  template <typename T>
+  void BorrowI32Array(const std::vector<T>& records) {
+    static_assert(std::is_trivially_copyable_v<T> &&
+                  sizeof(T) % sizeof(int32_t) == 0);
+    BorrowSpan(records.data(), records.size() * (sizeof(T) / sizeof(int32_t)));
+  }
+
   // Serializes header + table + payloads. The writer stays intact (a caller
-  // may write the same snapshot to several sinks).
+  // may write the same snapshot to several sinks while the borrowed arrays
+  // stay untouched).
   SnapshotStatus WriteTo(std::ostream& out) const;
 
  private:
+  // A borrowed span, spliced into the payload after the first `offset`
+  // bytes of the section's copied bytes.
+  struct Borrowed {
+    size_t offset;
+    const char* data;
+    size_t size;
+  };
   struct Section {
     std::string name;
-    std::string payload;
+    std::string copied;
+    std::vector<Borrowed> borrowed;
   };
+
+  void BorrowSpan(const void* data, size_t count);
+  // Calls fn(data, size) for each run of the section's payload, in order.
+  template <typename Fn>
+  static void ForEachPiece(const Section& section, Fn&& fn);
 
   std::vector<Section> sections_;
   std::string prefix_;
@@ -144,8 +177,24 @@ class SnapshotReader {
   // Replaces `*out` with the stored array. Returns false on a malformed
   // length (the declared element count must fit in the section's remaining
   // bytes, so a corrupt length can never trigger a huge allocation).
-  bool GetI32Array(std::vector<int32_t>* out);
+  bool GetI32Array(std::vector<int32_t>* out) { return GetI32Records(out); }
   bool GetU8Array(std::vector<uint8_t>* out);
+
+  // The reader side of BorrowI32Array: decodes a stored i32 array straight
+  // into records of sizeof(T) / 4 i32 fields each. Also fails when the
+  // element count is not a whole number of records.
+  template <typename T>
+  bool GetI32Records(std::vector<T>* out) {
+    static_assert(std::is_trivially_copyable_v<T> &&
+                  sizeof(T) % sizeof(int32_t) == 0);
+    constexpr size_t kFields = sizeof(T) / sizeof(int32_t);
+    size_t count = 0;
+    const char* data = TakeI32Array(kFields, &count);
+    if (data == nullptr) return false;
+    out->resize(count / kFields);
+    if (count > 0) std::memcpy(out->data(), data, count * sizeof(int32_t));
+    return true;
+  }
 
   // True when the cursor consumed the open section exactly. Loaders call
   // this after their last field: trailing bytes mean the payload was not
@@ -166,6 +215,9 @@ class SnapshotReader {
   // Returns a pointer to `size` readable bytes at the cursor, advancing it;
   // nullptr (and a sticky error) on section over-read.
   const char* Take(size_t size);
+  // Reads an i32 array's count and returns its raw bytes (`*count` i32s,
+  // a multiple of `fields`); nullptr (and a sticky error) when malformed.
+  const char* TakeI32Array(size_t fields, size_t* count);
 
   std::map<std::string, std::string> sections_;
   std::vector<std::string> order_;

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -256,6 +257,79 @@ TEST(SnapshotTest, RejectsCorruptedHeadersAndTruncatedFiles) {
   }
 }
 
+// Payloads are read and CRC'd in 1 MiB chunks, so a section spanning two
+// full chunks and a partial one must still be rejected when it is cut
+// short inside the partial chunk or at a chunk boundary, or has a flipped
+// bit at either edge of a chunk or in its very last byte.
+TEST(SnapshotTest, RejectsDamageAroundReadChunkBoundaries) {
+  constexpr size_t kChunk = size_t{1} << 20;
+  std::vector<int32_t> values(600000);
+  for (size_t i = 0; i < values.size(); ++i) {
+    values[i] = static_cast<int32_t>(i * 2654435761u);
+  }
+  SnapshotWriter w;
+  w.BeginSection("big");
+  w.PutI32Array(values);
+  w.EndSection();
+  std::ostringstream out;
+  ASSERT_TRUE(w.WriteTo(out).ok);
+  const std::string blob = std::move(out).str();
+  const size_t payload_size = 8 + 4 * values.size();
+  ASSERT_GT(payload_size, 2 * kChunk);
+  const size_t payload_start = blob.size() - payload_size;
+  auto read = [](const std::string& bytes) {
+    std::istringstream in(bytes);
+    SnapshotReader reader;
+    return reader.ReadFrom(in);
+  };
+  ASSERT_TRUE(read(blob).ok);
+
+  for (size_t length : {payload_size - 100, 2 * kChunk}) {
+    const SnapshotStatus status = read(blob.substr(0, payload_start + length));
+    EXPECT_FALSE(status.ok) << length;
+    EXPECT_NE(status.message.find("truncated payload of section 'big'"),
+              std::string::npos)
+        << status.message;
+  }
+  for (size_t offset : {payload_size - 1, kChunk - 1, kChunk, 2 * kChunk}) {
+    std::string bad = blob;
+    bad[payload_start + offset] ^= 0x01;
+    const SnapshotStatus status = read(bad);
+    EXPECT_FALSE(status.ok) << offset;
+    EXPECT_NE(status.message.find("CRC mismatch in section 'big'"),
+              std::string::npos)
+        << status.message;
+  }
+}
+
+// A borrowed array must encode to exactly the bytes of a copied one,
+// wherever it falls among copied values (and when it is empty).
+TEST(SnapshotTest, BorrowedArraysEncodeLikeCopiedOnes) {
+  const std::vector<int32_t> a = {1, -2, 3, 0x7fffffff};
+  const std::vector<int32_t> empty;
+  auto encode = [&](bool borrow) {
+    SnapshotWriter w;
+    w.BeginSection("s");
+    if (borrow) {
+      w.BorrowI32Array(a);
+      w.PutU8(7);
+      w.BorrowI32Array(empty);
+      w.BorrowI32Array(a);
+    } else {
+      w.PutI32Array(a);
+      w.PutU8(7);
+      w.PutI32Array(empty);
+      w.PutI32Array(a);
+    }
+    w.PutString("tail");
+    w.EndSection();
+    std::ostringstream out;
+    EXPECT_TRUE(w.WriteTo(out).ok);
+    return std::move(out).str();
+  };
+  EXPECT_EQ(encode(true), encode(false));
+}
+
 TEST(SnapshotTest, RejectsUnknownAlgorithmAndMissingSections) {
   {
     SnapshotWriter w;
@@ -405,39 +479,194 @@ TEST(SnapshotTest, RejectsNonMaximalMaintainerState) {
 }
 
 TEST(SnapshotTest, RejectsStructurallyInvalidGraphSections) {
-  // A CRC-valid snapshot whose graph arrays are internally inconsistent
-  // (here: a degree sum that cannot match the edge count) must fail the
-  // structural validation, not crash.
-  SnapshotWriter w;
-  w.BeginSection("engine");
-  w.PutString("DyTwoSwap");
-  w.PutString("DyTwoSwap");
-  w.PutI32(2);
-  w.PutU8(0);
-  w.PutU8(0);
-  w.PutI32(1);
-  w.PutI64(0);
-  w.PutDouble(0);
-  w.EndSection();
-  w.BeginSection("graph");
-  w.PutI64(2);                          // num_vertices
-  w.PutI64(1);                          // num_edges
-  w.PutI32(2);                          // vertex capacity
-  w.PutI32(1);                          // edge capacity
-  w.PutI32Array({0, 0});                // heads: both claim edge 0
-  w.PutI32Array({5, 5});                // degrees: impossible sum
-  w.PutI32Array({0, 1, -1, -1});        // one edge (0, 1), no next links
-  w.PutI32Array({-1, -1});              // edge_prev
-  w.PutI32Array({});                    // free vertices
-  w.PutI32Array({});                    // free edges
-  w.EndSection();
-  std::ostringstream out;
-  ASSERT_TRUE(w.WriteTo(out).ok);
-  SnapshotStatus status;
-  EXPECT_EQ(LoadFromString(std::move(out).str(), &status), nullptr);
-  EXPECT_FALSE(status.ok);
-  EXPECT_NE(status.message.find("graph"), std::string::npos)
-      << status.message;
+  // CRC-valid snapshots whose graph arrays are internally inconsistent must
+  // fail the structural validation, not crash. Capacities follow from the
+  // array lengths; `edges` holds (endpoint0, endpoint1, next0, next1) and
+  // `prev` (prev0, prev1) per edge.
+  auto load = [](int64_t num_vertices, int64_t num_edges,
+                 const std::vector<int32_t>& heads,
+                 const std::vector<int32_t>& degrees,
+                 const std::vector<int32_t>& edges,
+                 const std::vector<int32_t>& prev) {
+    SnapshotWriter w;
+    w.BeginSection("engine");
+    w.PutString("DyTwoSwap");
+    w.PutString("DyTwoSwap");
+    w.PutI32(2);
+    w.PutU8(0);
+    w.PutU8(0);
+    w.PutI32(1);
+    w.PutI64(0);
+    w.PutDouble(0);
+    w.EndSection();
+    w.BeginSection("graph");
+    w.PutI64(num_vertices);
+    w.PutI64(num_edges);
+    w.PutI32(static_cast<int32_t>(heads.size()));
+    w.PutI32(static_cast<int32_t>(prev.size() / 2));
+    w.PutI32Array(heads);
+    w.PutI32Array(degrees);
+    w.PutI32Array(edges);
+    w.PutI32Array(prev);
+    w.PutI32Array({});  // free vertices
+    w.PutI32Array({});  // free edges
+    w.EndSection();
+    std::ostringstream out;
+    EXPECT_TRUE(w.WriteTo(out).ok);
+    SnapshotStatus status;
+    EXPECT_EQ(LoadFromString(std::move(out).str(), &status), nullptr);
+    EXPECT_FALSE(status.ok);
+    return status.message;
+  };
+
+  // Both vertices claim edge 0 with an impossible degree sum.
+  std::string message = load(2, 1, {0, 0}, {5, 5}, {0, 1, -1, -1}, {-1, -1});
+  EXPECT_NE(message.find("graph"), std::string::npos) << message;
+
+  // Two properly linked copies of edge (0, 1): every count, chain and
+  // back-link is consistent, but the graph is not simple.
+  const std::vector<int32_t> twin_edges = {0, 1, 1, 1, 0, 1, -1, -1};
+  message = load(2, 2, {0, 0}, {2, 2}, twin_edges, {-1, -1, 0, 0});
+  EXPECT_NE(message.find("graph: parallel edges"), std::string::npos)
+      << message;
+
+  // An edge array that is not a whole number of four-field records.
+  message = load(2, 0, {-1, -1}, {0, 0}, {0, 1, -1}, {});
+  EXPECT_NE(message.find("not a whole number of records"), std::string::npos)
+      << message;
+}
+
+// One row of a container's section table.
+struct SectionEntry {
+  std::string name;
+  uint64_t size = 0;
+  uint32_t crc = 0;
+};
+
+// Parses the section table of a serialized container (layout in
+// src/io/snapshot.h) straight from the bytes, without SnapshotReader, so the
+// golden test pins exactly what the writer emitted. Empty on a short blob.
+std::vector<SectionEntry> SectionTable(const std::string& blob) {
+  size_t pos = 12;  // Magic + version.
+  bool ok = true;
+  auto take = [&](int bytes) {
+    uint64_t value = 0;
+    if (pos + bytes > blob.size()) {
+      ok = false;
+      return value;
+    }
+    for (int i = 0; i < bytes; ++i) {
+      value |= uint64_t{static_cast<unsigned char>(blob[pos + i])} << (8 * i);
+    }
+    pos += bytes;
+    return value;
+  };
+  std::vector<SectionEntry> table(take(4));
+  for (SectionEntry& entry : table) {
+    const size_t name_len = take(2);
+    if (!ok || pos + name_len > blob.size()) return {};
+    entry.name = blob.substr(pos, name_len);
+    pos += name_len;
+    entry.size = take(8);
+    entry.crc = static_cast<uint32_t>(take(4));
+  }
+  return ok ? table : std::vector<SectionEntry>{};
+}
+
+// A fixed update stream with net vertex growth and vertex deletions, drawn
+// against a replica: capacities grow past the base graph's and deleted ids
+// are recycled, so the golden snapshots cover free lists and growth slack.
+std::vector<GraphUpdate> GoldenTrace(const EdgeListGraph& base,
+                                     int* recycled_ids) {
+  UpdateStreamOptions options;
+  options.edge_op_fraction = 0.6;
+  options.insert_fraction = 0.6;
+  options.seed = 20221;
+  UpdateStreamGenerator gen(options);
+  DynamicGraph replica = base.ToDynamic();
+  std::vector<uint8_t> deleted(static_cast<size_t>(replica.VertexCapacity()));
+  std::vector<GraphUpdate> trace;
+  *recycled_ids = 0;
+  for (int i = 0; i < 500; ++i) {
+    trace.push_back(gen.Next(replica));
+    const GraphUpdate& update = trace.back();
+    const VertexId id = ApplyUpdate(&replica, update);
+    deleted.resize(static_cast<size_t>(replica.VertexCapacity()), 0);
+    if (update.kind == UpdateKind::kDeleteVertex) deleted[update.u] = 1;
+    if (update.kind == UpdateKind::kInsertVertex && deleted[id]) {
+      deleted[id] = 0;
+      ++*recycled_ids;
+    }
+  }
+  return trace;
+}
+
+// The snapshot format is frozen at kSnapshotVersion 1: the same state must
+// serialize to the same bytes whatever the encoder's internals. The sizes
+// and CRCs below were recorded by running this test body on the encoder
+// that staged every section in a std::string with a bytewise CRC32, before
+// the borrowed-span writer replaced it. The CRCs of "engine" and "sharded"
+// are not pinned: they store wall-clock update/resolve seconds.
+TEST(SnapshotTest, SectionBytesMatchGoldenCrcs) {
+  Rng rng(2024);
+  const EdgeListGraph base = ErdosRenyiGnm(60, 150, &rng);
+  int recycled = 0;
+  const std::vector<GraphUpdate> trace = GoldenTrace(base, &recycled);
+  ASSERT_GT(recycled, 0);
+
+  std::string listing;
+  for (const std::string config :
+       {"DyOneSwap", "DyTwoSwap", "DyTwoSwap-lazy", "KSwap3", "Sharded4"}) {
+    std::ostringstream out;
+    if (config == "Sharded4") {
+      ShardedEngineOptions options;
+      options.num_shards = 4;
+      auto engine = ShardedMisEngine::Create(base, {"DyTwoSwap"}, options);
+      ASSERT_NE(engine, nullptr);
+      engine->Initialize();
+      for (const GraphUpdate& update : trace) engine->Apply(update);
+      ASSERT_TRUE(engine->SaveSnapshot(out).ok);
+    } else {
+      auto engine = MisEngine::Create(base, config);
+      ASSERT_NE(engine, nullptr) << config;
+      engine->Initialize();
+      for (const GraphUpdate& update : trace) engine->Apply(update);
+      EXPECT_GT(engine->graph().VertexCapacity(), 60);
+      EXPECT_GT(engine->graph().EdgeCapacity(), 150);
+      ASSERT_TRUE(engine->SaveSnapshot(out).ok);
+    }
+    for (const SectionEntry& entry : SectionTable(std::move(out).str())) {
+      char crc[16] = "-";
+      if (entry.name != "engine" && entry.name != "sharded") {
+        std::snprintf(crc, sizeof(crc), "%08x", entry.crc);
+      }
+      listing += config + " " + entry.name + " " +
+                 std::to_string(entry.size) + " " + crc + "\n";
+    }
+  }
+  EXPECT_EQ(listing, R"(DyOneSwap engine 60 -
+DyOneSwap graph 7796 4f92336d
+DyOneSwap mis 11351 36c93730
+DyTwoSwap engine 60 -
+DyTwoSwap graph 7796 4f92336d
+DyTwoSwap mis 17167 c1d62a67
+DyTwoSwap-lazy engine 70 -
+DyTwoSwap-lazy graph 7796 4f92336d
+DyTwoSwap-lazy mis 519 7c8f1154
+KSwap3 engine 58 -
+KSwap3 graph 7796 4f92336d
+KSwap3 mis 17167 6758cbeb
+Sharded4 sharded 130 -
+Sharded4 cut/state 1746 e61fe14d
+Sharded4 shard0/graph 1648 b85cbbc4
+Sharded4 shard0/mis 4300 1e27691d
+Sharded4 shard1/graph 1580 319ce9fd
+Sharded4 shard1/mis 4207 6eac649b
+Sharded4 shard2/graph 1612 19663ab3
+Sharded4 shard2/mis 4237 1de57b60
+Sharded4 shard3/graph 1692 0f9ac742
+Sharded4 shard3/mis 4414 25649e79
+)");
 }
 
 // The SNAPSHOT verb publishes through io::WriteFileAtomic (tmp + fsync +
