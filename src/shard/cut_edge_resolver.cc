@@ -372,20 +372,6 @@ CutEdgeResolver::Resolution CutEdgeResolver::Resolve(
   }
   result.conflicts = conflict_edges;
 
-  // Eviction as a min-degree greedy over the conflicted vertices: unmark
-  // them all, then confirm each in ascending total-degree order when no
-  // confirmed cut neighbor blocks it (conflicted vertices are shard-local
-  // solution members, so intra-shard edges cannot connect two of them —
-  // only cut edges need checking). Low-degree vertices — the ones a
-  // min-degree greedy would pick — win their conflicts; per-edge eviction
-  // in arbitrary order costs several percent of solution quality.
-  for (const VertexId v : conflicted_) in_sol_[v] = 0;
-  std::sort(conflicted_.begin(), conflicted_.end(),
-            [&](VertexId a, VertexId b) {
-              const int da = TotalDegree(plan, shards, a);
-              const int db = TotalDegree(plan, shards, b);
-              return da != db ? da < db : a < b;
-            });
   RepairAndPolish(plan, shards, /*restrict_polish=*/false, &result);
   return result;
 }
@@ -417,15 +403,26 @@ CutEdgeResolver::Resolution CutEdgeResolver::ResolveIncremental(
   }
   result.conflicts = conflict_edges;
 
-  for (const VertexId v : conflicted_) in_sol_[v] = 0;
-  std::sort(conflicted_.begin(), conflicted_.end(),
-            [&](VertexId a, VertexId b) {
-              const int da = TotalDegree(plan, shards, a);
-              const int db = TotalDegree(plan, shards, b);
-              return da != db ? da < db : a < b;
-            });
   RepairAndPolish(plan, shards, /*restrict_polish=*/true, &result);
   return result;
+}
+
+void CutEdgeResolver::SortByDegree(
+    const PartitionPlan& plan,
+    const std::vector<std::unique_ptr<Shard>>& shards,
+    std::vector<VertexId>* list) {
+  // (TotalDegree, id) packed into one integer: each degree is read once per
+  // element rather than twice per comparison.
+  keys_.clear();
+  for (const VertexId v : *list) {
+    keys_.push_back(
+        static_cast<uint64_t>(TotalDegree(plan, shards, v)) << 32 |
+        static_cast<uint32_t>(v));
+  }
+  std::sort(keys_.begin(), keys_.end());
+  for (size_t i = 0; i < keys_.size(); ++i) {
+    (*list)[i] = static_cast<VertexId>(static_cast<uint32_t>(keys_[i]));
+  }
 }
 
 void CutEdgeResolver::RepairAndPolish(
@@ -433,74 +430,11 @@ void CutEdgeResolver::RepairAndPolish(
     const std::vector<std::unique_ptr<Shard>>& shards, bool restrict_polish,
     Resolution* result) {
   const int capacity = VertexCapacity();
-
-  // Confirm pass (conflicted_ sorted ascending by total degree, all
-  // unmarked): a vertex re-enters when no already-confirmed cut neighbor
-  // blocks it, so low-degree vertices win their conflicts.
-  evicted_.clear();
-  for (const VertexId v : conflicted_) {
-    bool free = true;
-    for (const Half& h : adjacency_[v]) free = free && !in_sol_[h.to];
-    if (free) {
-      in_sol_[v] = 1;
-    } else {
-      evicted_.push_back(v);
-    }
-  }
-  result->evictions = static_cast<int64_t>(evicted_.size());
-
-  // Re-extension candidates: each eviction plus its full neighborhood
-  // (intra neighbors come from the owning shard's graph, cut neighbors
-  // from the cut store).
-  considered_.assign(static_cast<size_t>(capacity), 0);
-  candidates_.clear();
-  auto consider = [&](VertexId v) {
-    if (!considered_[v]) {
-      considered_[v] = 1;
-      candidates_.push_back(v);
-    }
-  };
-  for (const VertexId v : evicted_) {
-    consider(v);
-    shards[plan.ShardOf(v)]->graph().ForEachIncident(
-        v, [&](VertexId u, EdgeId) { consider(u); });
-    for (const Half& h : adjacency_[v]) consider(h.to);
-  }
-
-  // Greedy re-add in min-degree order (the same preference as the greedy
-  // quality reference). The overlay only grows here, so one pass suffices:
-  // a rejected candidate's blocking neighbor stays in the solution.
-  std::sort(candidates_.begin(), candidates_.end(),
-            [&](VertexId a, VertexId b) {
-              const int da = TotalDegree(plan, shards, a);
-              const int db = TotalDegree(plan, shards, b);
-              return da != db ? da < db : a < b;
-            });
-  readded_.clear();
-  for (const VertexId c : candidates_) {
-    if (in_sol_[c]) continue;
-    bool free = true;
-    shards[plan.ShardOf(c)]->graph().ForEachIncident(
-        c, [&](VertexId u, EdgeId) { free = free && !in_sol_[u]; });
-    if (free) {
-      for (const Half& h : adjacency_[c]) free = free && !in_sol_[h.to];
-    }
-    if (!free) continue;
-    in_sol_[c] = 1;
-    readded_.push_back(c);
-    ++result->readded;
-  }
-
-  // Polish: 1-swap restoration over the stitched solution (the move behind
-  // paper Algorithm 2). The overlay is maximal, but stitching per-shard
-  // views can leave a member v whose exclusively-covered neighborhood
-  // bar1(v) = {u : N(u) cap I = {v}} holds an independent pair — swapping
-  // v out for the pair grows the solution by one. A few passes recover the
-  // quality the shard-local view gave up to cut-edge blindness (measured
-  // on the hard scenario: 0.95 -> 0.99+ of the greedy reference). Skipped
-  // when no cut edges exist: every shard solution is then already
-  // k-maximal on its full graph, so no 1-swap can exist — which also keeps
-  // the S=1 degenerate engine bit-identical to the single engine.
+  for (const VertexId v : conflicted_) in_sol_[v] = 0;
+  // Without cut edges nothing conflicts and no 1-swap exists (every shard
+  // solution is then k-maximal on its full graph), so the overlay is the
+  // answer — which also keeps the S=1 degenerate engine bit-identical to
+  // the single engine.
   if (num_edges_ > 0) {
     auto for_each_neighbor = [&](VertexId v, auto&& fn) {
       shards[plan.ShardOf(v)]->graph().ForEachIncident(
@@ -512,23 +446,110 @@ void CutEdgeResolver::RepairAndPolish(
       if (sa == plan.ShardOf(b)) return shards[sa]->graph().HasEdge(a, b);
       return HasCutEdge(a, b);
     };
-    // count_[u]: solution neighbors of u (members have 0 by
-    // independence). One eager pass over the members' neighborhoods
-    // materializes every count, and each polish mutation keeps them
-    // exact — so the bar1 collection below reads counts in O(1) instead
-    // of rescanning the neighborhood of every vertex it visits, which
-    // was the dominant barrier cost (deg^2 per polished member).
-    count_.assign(static_cast<size_t>(capacity), 0);
+
+    // cover_[u]: u's solution neighbors — how many, and the XOR of their
+    // ids, which names the lone one when the count is 1 — plus, for a
+    // member, the size of its bar1 set {u in N(v) : count of u is 1}. One
+    // pass over the overlay's neighborhoods materializes it, and every
+    // membership change below keeps it exact, so "is u blocked" and "can
+    // v swap at all" are O(1) reads for the confirm, re-add and polish
+    // steps alike.
+    //
+    // recheck_[m]: member m's bar1 set may have changed since the polish
+    // last visited it. bar1 sets move only when a vertex's count enters or
+    // leaves 1, and the XOR names the member whose set that is. Marks made
+    // before the polish are harmless: its first pass visits every pool
+    // member anyway.
+    cover_.assign(static_cast<size_t>(capacity), Cover{});
+    recheck_.assign(static_cast<size_t>(capacity), 0);
     for (VertexId v = 0; v < capacity; ++v) {
       if (!in_sol_[v]) continue;
-      for_each_neighbor(v, [&](VertexId u) { ++count_[u]; });
+      for_each_neighbor(v, [&](VertexId u) {
+        ++cover_[u].count;
+        cover_[u].members_xor ^= v;
+      });
     }
-    auto bump = [&](VertexId u, int32_t delta) { count_[u] += delta; };
-    auto add = [&](VertexId a) {
+    for (VertexId u = 0; u < capacity; ++u) {
+      if (cover_[u].count == 1) ++cover_[cover_[u].members_xor].bar1_size;
+    }
+    auto bump = [&](VertexId u, VertexId member, int32_t delta) {
+      Cover& c = cover_[u];
+      if (c.count == 1) {  // u leaves its lone member's bar1.
+        --cover_[c.members_xor].bar1_size;
+        recheck_[c.members_xor] = 1;
+      }
+      c.count += delta;
+      c.members_xor ^= member;
+      if (c.count == 1) {  // u enters its lone member's bar1.
+        ++cover_[c.members_xor].bar1_size;
+        recheck_[c.members_xor] = 1;
+      }
+    };
+    auto join = [&](VertexId a) {
       in_sol_[a] = 1;
-      for_each_neighbor(a, [&](VertexId u) { bump(u, 1); });
+      for_each_neighbor(a, [&](VertexId u) { bump(u, a, 1); });
+    };
+    auto leave = [&](VertexId a) {
+      in_sol_[a] = 0;
+      for_each_neighbor(a, [&](VertexId u) { bump(u, a, -1); });
     };
 
+    // Eviction as a min-degree greedy over the conflicted vertices: with
+    // all of them unmarked, confirm each in ascending (TotalDegree, id)
+    // order when no confirmed neighbor blocks it. Conflicted vertices are
+    // shard-local solution members, so only cut neighbors can block them.
+    // Low-degree vertices — the ones a min-degree greedy would pick — win
+    // their conflicts; per-edge eviction in arbitrary order costs several
+    // percent of solution quality.
+    SortByDegree(plan, shards, &conflicted_);
+    evicted_.clear();
+    for (const VertexId v : conflicted_) {
+      if (cover_[v].count == 0) {
+        join(v);
+      } else {
+        evicted_.push_back(v);
+      }
+    }
+    result->evictions = static_cast<int64_t>(evicted_.size());
+
+    // Re-extension candidates: the neighbors of evictions that are neither
+    // members nor blocked now (the solution only grows from here until the
+    // polish, so any other vertex would be skipped anyway). They are found
+    // from their own side — an uncovered non-member next to an eviction —
+    // which walks only the few uncovered vertices instead of every evicted
+    // hub's neighborhood.
+    evicted_mark_.assign(static_cast<size_t>(capacity), 0);
+    for (const VertexId v : evicted_) evicted_mark_[v] = 1;
+    candidates_.clear();
+    for (VertexId u = 0; u < capacity; ++u) {
+      if (in_sol_[u] || cover_[u].count > 0 || !alive_[u]) continue;
+      bool next_to_eviction = false;
+      for_each_neighbor(u, [&](VertexId w) {
+        next_to_eviction = next_to_eviction || evicted_mark_[w];
+      });
+      if (next_to_eviction) candidates_.push_back(u);
+    }
+
+    // Greedy re-add in min-degree order (the same preference as the greedy
+    // quality reference). One pass suffices: a rejected candidate's
+    // blocking neighbor stays in the solution.
+    SortByDegree(plan, shards, &candidates_);
+    readded_.clear();
+    for (const VertexId c : candidates_) {
+      if (cover_[c].count > 0) continue;
+      join(c);
+      readded_.push_back(c);
+    }
+    result->readded = static_cast<int64_t>(readded_.size());
+
+    // Polish: 1-swap restoration over the stitched solution (the move
+    // behind paper Algorithm 2). The overlay is maximal, but stitching
+    // per-shard views can leave a member v whose exclusively-covered
+    // neighborhood bar1(v) holds an independent pair — swapping v out for
+    // the pair grows the solution by one. A few passes recover the quality
+    // the shard-local view gave up to cut-edge blindness (measured on the
+    // hard scenario: 0.95 -> 0.99+ of the greedy reference).
+    //
     // The active pool: members the polish will visit. Restricted mode
     // takes cut-incident members (cut-blindness swaps live there) plus
     // every member within distance 2 of a repair change (the only places
@@ -536,12 +557,8 @@ void CutEdgeResolver::RepairAndPolish(
     // profitable swaps cannot hide elsewhere); full mode takes everyone.
     // Vertices added by swaps join the pool for later passes.
     active_.assign(static_cast<size_t>(capacity), 0);
-    polish_members_.clear();
     auto activate = [&](VertexId v) {
-      if (in_sol_[v] && !active_[v]) {
-        active_[v] = 1;
-        polish_members_.push_back(v);
-      }
+      if (in_sol_[v]) active_[v] = 1;
     };
     // When the repair changed a large fraction of the graph, the
     // distance-2 closure below would activate nearly every member anyway
@@ -592,20 +609,26 @@ void CutEdgeResolver::RepairAndPolish(
       // canonical order, so the outcome never depends on how the pool
       // was discovered.
       members_.clear();
-      for (const VertexId v : polish_members_) {
-        if (in_sol_[v]) members_.push_back(v);
+      for (VertexId v = 0; v < capacity; ++v) {
+        if (active_[v] && in_sol_[v]) members_.push_back(v);
       }
-      std::sort(members_.begin(), members_.end());
       int64_t swaps_this_pass = 0;
       for (const VertexId v : members_) {
         if (!in_sol_[v]) continue;  // Swapped out earlier this pass.
+        // After the first pass a member is visited only when marked at
+        // its turn (possibly by a swap earlier in this pass): otherwise it
+        // would find the same bar1 set, and so no swap, as last time.
+        if (pass > 0 && !recheck_[v]) continue;
+        recheck_[v] = 0;
+        if (cover_[v].bar1_size < 2) continue;  // No pair to swap in.
         bar1_.clear();
         for_each_neighbor(v, [&](VertexId u) {
-          // count == 1 and adjacent to the member v: v is u's only
-          // solution neighbor.
-          if (count_[u] == 1) bar1_.push_back(u);
+          // Count 1 and adjacent to the member v: v is u's only solution
+          // neighbor.
+          if (cover_[u].count == 1) bar1_.push_back(u);
         });
-        if (bar1_.size() < 2) continue;
+        DYNMIS_DCHECK(bar1_.size() ==
+                      static_cast<size_t>(cover_[v].bar1_size));
         // Min-degree order: the swap prefers the vertices a min-degree
         // greedy would keep. Only the first kPairPool entries enter the
         // quadratic pair search (bounding hub-sized bar1 sets), but the
@@ -613,11 +636,7 @@ void CutEdgeResolver::RepairAndPolish(
         // cover when v leaves and must get the chance to rejoin below —
         // dropping the tail here would leave it uncovered and break the
         // maximality guarantee.
-        std::sort(bar1_.begin(), bar1_.end(), [&](VertexId a, VertexId b) {
-          const int da = TotalDegree(plan, shards, a);
-          const int db = TotalDegree(plan, shards, b);
-          return da != db ? da < db : a < b;
-        });
+        SortByDegree(plan, shards, &bar1_);
         const size_t pool = std::min(bar1_.size(), kPairPool);
         VertexId first = kInvalidVertex;
         VertexId second = kInvalidVertex;
@@ -631,18 +650,17 @@ void CutEdgeResolver::RepairAndPolish(
           }
         }
         if (second == kInvalidVertex) continue;  // The pool is a clique.
-        in_sol_[v] = 0;
-        for_each_neighbor(v, [&](VertexId u) { bump(u, -1); });
-        add(first);
-        add(second);
+        leave(v);
+        join(first);
+        join(second);
         activate(first);
         activate(second);
         // Every other exclusively-covered neighbor freed by v's departure
         // and not blocked by the pair joins too (full list, not the pool:
         // anything left at count 0 would make the result non-maximal).
         for (const VertexId w : bar1_) {
-          if (!in_sol_[w] && count_[w] == 0) {
-            add(w);
+          if (!in_sol_[w] && cover_[w].count == 0) {
+            join(w);
             activate(w);
           }
         }
@@ -756,13 +774,13 @@ size_t CutEdgeResolver::MemoryUsageBytes() const {
   return NestedVectorBytes(adjacency_) + VectorBytes(alive_) +
          VectorBytes(free_vertices_) + VectorBytes(base_) +
          VectorBytes(conflict_pos_) + VectorBytes(conflict_list_) +
-         VectorBytes(in_sol_) + VectorBytes(considered_) +
-         VectorBytes(members_) + VectorBytes(conflicted_) +
-         VectorBytes(evicted_) + VectorBytes(readded_) +
-         VectorBytes(candidates_) + VectorBytes(polish_members_) +
-         VectorBytes(count_) + VectorBytes(seeded_) + VectorBytes(expanded_) +
-         VectorBytes(dirty_) + VectorBytes(dirty_flag_) +
-         VectorBytes(active_) + VectorBytes(bar1_);
+         VectorBytes(in_sol_) + VectorBytes(members_) +
+         VectorBytes(conflicted_) + VectorBytes(evicted_) +
+         VectorBytes(evicted_mark_) + VectorBytes(readded_) +
+         VectorBytes(candidates_) + VectorBytes(cover_) +
+         VectorBytes(recheck_) + VectorBytes(keys_) + VectorBytes(seeded_) +
+         VectorBytes(expanded_) + VectorBytes(dirty_) +
+         VectorBytes(dirty_flag_) + VectorBytes(active_) + VectorBytes(bar1_);
 }
 
 }  // namespace dynmis

@@ -301,13 +301,19 @@ class CutEdgeResolver {
     return shards[plan.ShardOf(v)]->graph().Degree(v) + CutDegree(v);
   }
 
+  // Sorts `list` ascending by (TotalDegree, id), the min-degree preference
+  // every repair step shares.
+  void SortByDegree(const PartitionPlan& plan,
+                    const std::vector<std::unique_ptr<Shard>>& shards,
+                    std::vector<VertexId>* list);
+
   // Shared repair tail of both barrier passes. Expects in_sol_ to hold the
-  // overlay with `conflicted_` unmarked and sorted by (TotalDegree, id):
-  // greedy confirm, re-extension of the evicted neighborhoods, 1-swap
-  // polish, solution collection. With `restrict_polish` the polish only
-  // visits members the repair could have affected (cut-incident members
-  // plus distance-<=2 neighborhoods of evictions/re-additions); without
-  // it, every member.
+  // overlay and `conflicted_` its conflicted members (any order): greedy
+  // confirm, re-extension of the evicted neighborhoods, 1-swap polish,
+  // solution collection. With `restrict_polish` the polish only visits
+  // members the repair could have affected (cut-incident members plus
+  // distance-<=2 neighborhoods of evictions/re-additions); without it,
+  // every member.
   void RepairAndPolish(const PartitionPlan& plan,
                        const std::vector<std::unique_ptr<Shard>>& shards,
                        bool restrict_polish, Resolution* result);
@@ -353,14 +359,23 @@ class CutEdgeResolver {
 
   // Reusable scratch (sized to vertex capacity / pass volume).
   std::vector<uint8_t> in_sol_;
-  std::vector<uint8_t> considered_;
   std::vector<VertexId> members_;
   std::vector<VertexId> conflicted_;
   std::vector<VertexId> evicted_;
+  std::vector<uint8_t> evicted_mark_;
   std::vector<VertexId> readded_;
   std::vector<VertexId> candidates_;
-  std::vector<VertexId> polish_members_;
-  std::vector<int32_t> count_;
+  // A vertex's solution neighbors during a repair: their count, and the
+  // XOR of their ids (the lone neighbor's id when the count is 1). For a
+  // member, also how many neighbors it covers alone (its bar1 set).
+  struct Cover {
+    int32_t count = 0;
+    VertexId members_xor = 0;
+    int32_t bar1_size = 0;
+  };
+  std::vector<Cover> cover_;
+  std::vector<uint8_t> recheck_;
+  std::vector<uint64_t> keys_;
   std::vector<uint8_t> active_;
   std::vector<uint8_t> seeded_;
   std::vector<uint8_t> expanded_;

@@ -1,8 +1,9 @@
 // ShardedMisEngine: independence + maximality of the resolved solution
 // under churn, hash vs range partition plans, deterministic replay (both
 // across runs and across flush/block boundaries), S=1 degeneration to the
-// single engine, vertex inserts landing in the plan's shard, and snapshot
-// round-trips including empty shards.
+// single engine, vertex inserts landing in the plan's shard, snapshot
+// round-trips including empty shards, and golden per-barrier output that
+// the async and sequential resolvers must both reproduce.
 
 #include "dynmis/sharded_engine.h"
 
@@ -578,6 +579,156 @@ TEST(ShardedEngineTest, LocalityPlanRoundTripsThroughSnapshotAndReshard) {
   resharded->Initialize();
   EXPECT_TRUE(IsMaximalIndependentSet(global, resharded->Solution()));
   EXPECT_EQ(resharded->ShardStats().partition, "locality");
+}
+
+// Everything one seeded run of the barrier repair produces: an FNV-1a
+// chain over the resolved solution after every barrier, plus the
+// cumulative repair counters.
+struct BarrierTrail {
+  uint64_t digest = 1469598103934665603ull;
+  int64_t barriers = 0;
+  int64_t conflicts = 0;
+  int64_t evictions = 0;
+  int64_t readded = 0;
+  int64_t swaps = 0;
+
+  bool operator==(const BarrierTrail&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const BarrierTrail& t) {
+  return os << "{0x" << std::hex << t.digest << std::dec << "ull, "
+            << t.barriers << ", " << t.conflicts << ", " << t.evictions
+            << ", " << t.readded << ", " << t.swaps << "}";
+}
+
+void FoldFnv(uint64_t* h, int64_t value) {
+  for (int byte = 0; byte < 8; ++byte) {
+    *h ^= static_cast<uint64_t>(value >> (8 * byte)) & 0xff;
+    *h *= 1099511628211ull;
+  }
+}
+
+// Replays `trace` in chunks of `barrier_every` ops and resolves after each
+// chunk (and after Initialize), digesting every resolved solution.
+BarrierTrail RunBarrierTrail(const EdgeListGraph& base,
+                             const std::vector<GraphUpdate>& trace,
+                             int shards, PartitionStrategy strategy,
+                             bool async, size_t barrier_every) {
+  ShardedEngineOptions options = Opts(shards, strategy);
+  options.async_resolver = async;
+  auto engine = ShardedMisEngine::Create(base, {"DyTwoSwap"}, options);
+  EXPECT_NE(engine, nullptr);
+  if (engine == nullptr) return {};
+  engine->Initialize();
+  BarrierTrail trail;
+  auto digest = [&] {
+    const std::vector<VertexId> solution = engine->Solution();
+    FoldFnv(&trail.digest, static_cast<int64_t>(solution.size()));
+    for (const VertexId v : solution) FoldFnv(&trail.digest, v);
+  };
+  digest();
+  for (size_t i = 0; i < trace.size(); i += barrier_every) {
+    const size_t end = std::min(trace.size(), i + barrier_every);
+    engine->ApplyBatch({trace.begin() + static_cast<long>(i),
+                        trace.begin() + static_cast<long>(end)});
+    digest();
+  }
+  const ShardedStats stats = engine->ShardStats();
+  EXPECT_EQ(stats.async_resolver, async);
+  trail.barriers = stats.barriers;
+  trail.conflicts = stats.conflicts;
+  trail.evictions = stats.evictions;
+  trail.readded = stats.readded;
+  trail.swaps = stats.swaps;
+  return trail;
+}
+
+// Golden barrier output: per-barrier solution digests and repair counters,
+// pinned across S in {2, 4} x {hash, locality} x {async, sequential}. Two
+// extra graphs pin both polish pools of the async pass: a clustered graph
+// under the range plan, whose every barrier repairs locally (the
+// restricted pool), and a larger random graph with coarse barriers, whose
+// every barrier trips `widespread_repair` (the full pool). The values were
+// recorded on the unpruned repair; a faster repair must leave every one of
+// them untouched (changes to the maintainer or the generators move them
+// legitimately).
+TEST(ShardedEngineTest, BarrierRepairMatchesGoldenTrail) {
+  const EdgeListGraph small = SmallGraph(97);
+  const std::vector<GraphUpdate> small_trace = ChurnTrace(small, 600, 101);
+  const EdgeListGraph large = SmallGraph(103, 3000, 9000);
+  const std::vector<GraphUpdate> large_trace = ChurnTrace(large, 800, 107);
+  const EdgeListGraph clustered = ClusteredGraph(4, 500, 4, 20, 109);
+  const std::vector<GraphUpdate> clustered_trace =
+      ChurnTrace(clustered, 400, 113);
+  struct Case {
+    const char* name;
+    const EdgeListGraph& base;
+    const std::vector<GraphUpdate>& trace;
+    int shards;
+    PartitionStrategy strategy;
+    bool async;
+    size_t barrier_every;
+    BarrierTrail expected;
+  };
+  constexpr PartitionStrategy kHash = PartitionStrategy::kHash;
+  constexpr PartitionStrategy kLocality = PartitionStrategy::kLocality;
+  constexpr PartitionStrategy kRange = PartitionStrategy::kRange;
+  const Case cases[] = {
+      {"s2-hash-async", small, small_trace, 2, kHash, true, 50,
+       {0x92e5829dbf7826fbull, 13, 1024, 477, 56, 46}},
+      {"s2-hash-seq", small, small_trace, 2, kHash, false, 50,
+       {0x92e5829dbf7826fbull, 13, 1024, 477, 56, 46}},
+      {"s2-locality-async", small, small_trace, 2, kLocality, true, 50,
+       {0x2853b3d527c0f1c2ull, 13, 686, 363, 54, 41}},
+      {"s2-locality-seq", small, small_trace, 2, kLocality, false, 50,
+       {0x2853b3d527c0f1c2ull, 13, 686, 363, 54, 41}},
+      {"s4-hash-async", small, small_trace, 4, kHash, true, 50,
+       {0xcab93d4ecc98e3a2ull, 13, 2476, 830, 77, 59}},
+      {"s4-hash-seq", small, small_trace, 4, kHash, false, 50,
+       {0xcab93d4ecc98e3a2ull, 13, 2476, 830, 77, 59}},
+      {"s4-locality-async", small, small_trace, 4, kLocality, true, 50,
+       {0xf07a38b324f66a41ull, 13, 1263, 574, 77, 64}},
+      {"s4-locality-seq", small, small_trace, 4, kLocality, false, 50,
+       {0xf07a38b324f66a41ull, 13, 1263, 574, 77, 64}},
+      {"local-repair-async", clustered, clustered_trace, 4, kRange, true, 10,
+       {0x7be4c38c028629a9ull, 41, 2269, 1367, 137, 290}},
+      {"local-repair-seq", clustered, clustered_trace, 4, kRange, false, 10,
+       {0x7be4c38c028629a9ull, 41, 2269, 1367, 137, 290}},
+      {"widespread-repair", large, large_trace, 4, kHash, true, 400,
+       {0xcca0331fdb150b2cull, 3, 8720, 3005, 295, 216}},
+  };
+  for (const Case& c : cases) {
+    const BarrierTrail trail = RunBarrierTrail(
+        c.base, c.trace, c.shards, c.strategy, c.async, c.barrier_every);
+    EXPECT_EQ(trail, c.expected) << c.name;
+  }
+}
+
+// The two resolver modes are interchangeable at every shard count: the
+// async pass's restricted polish pool and the sequential pass's full pool
+// reach the same solution with the same repair counters, barrier after
+// barrier, across seeds, plans and barrier cadences.
+TEST(ShardedEngineTest, AsyncResolverMatchesSequentialAcrossShardCounts) {
+  for (const uint64_t seed : {131, 137, 139, 149}) {
+    const EdgeListGraph base = SmallGraph(seed, 300, 900);
+    const std::vector<GraphUpdate> trace = ChurnTrace(base, 500, seed + 1);
+    for (const int shards : {2, 4}) {
+      for (const PartitionStrategy strategy :
+           {PartitionStrategy::kHash, PartitionStrategy::kLocality}) {
+        for (const size_t barrier_every : {7, 100}) {
+          const BarrierTrail async = RunBarrierTrail(
+              base, trace, shards, strategy, true, barrier_every);
+          const BarrierTrail sequential = RunBarrierTrail(
+              base, trace, shards, strategy, false, barrier_every);
+          EXPECT_EQ(async, sequential)
+              << "seed " << seed << " S=" << shards << " "
+              << PartitionStrategyName(strategy) << " every "
+              << barrier_every;
+          EXPECT_GT(async.conflicts, 0);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
