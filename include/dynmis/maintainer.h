@@ -55,23 +55,6 @@ class DynamicMisMaintainer {
     out->insert(out->end(), solution.begin(), solution.end());
   }
 
-  // --- Status transitions ----------------------------------------------------
-
-  // Installs an observer invoked on every solution status transition
-  // (`in` = true for a move into the solution, false for a move out),
-  // immediately after the membership flip, on whatever thread applies the
-  // update. Passing nullptr uninstalls. Returns false when the maintainer
-  // cannot report transitions (the baselines, which rebuild solutions
-  // wholesale); callers must then fall back to polling Solution(). The
-  // sharded engine uses this to ship MoveIn/MoveOut events to its
-  // asynchronous cut-edge resolver as they happen.
-  using StatusObserverFn = void (*)(void* ctx, VertexId v, bool in);
-  virtual bool SetStatusObserver(StatusObserverFn fn, void* ctx) {
-    (void)fn;
-    (void)ctx;
-    return false;
-  }
-
   // Bytes used by the maintainer's own data structures (graph excluded).
   virtual size_t MemoryUsageBytes() const = 0;
 

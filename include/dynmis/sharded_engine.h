@@ -10,27 +10,17 @@
 // so CollectSolution() always returns a verified independent set — in
 // fact a maximal one — of the global graph.
 //
-// The resolver runs in one of two modes. Asynchronously (the default,
-// when the maintainer can report status transitions): every shard ships
-// its maintainer's MoveIn/MoveOut transitions as it applies blocks, the
-// engine ships cut-edge mutations, and the resolver's own worker thread
-// folds both streams into a standing overlay + conflict set continuously —
-// a barrier drains the worker and finalizes the (mostly clean) frontier
-// instead of recomputing conflicts from scratch. Sequentially (baselines
-// that rebuild solutions wholesale): cut-edge ops apply inline and every
-// barrier recomputes the overlay.
-//
 // Calls route updates asynchronously: Apply/ApplyBatch classify each op in
-// O(1), forward cut-edge ops to the resolver, and append intra-shard ops
-// to per-shard pending blocks that are posted to the workers as they fill.
-// Queries (Solution, Stats, SaveSnapshot, ...) impose a barrier — drain
-// every queue and the resolver, then resolve. The final solution is a pure
-// function of the update sequence: neither thread scheduling nor block
-// boundaries affect it, so seeded runs replay identically (see
-// tests/sharded_engine_test.cc) — in async mode because each vertex's
-// transition stream has a single ordered producer (its owner shard) and
-// the drained overlay is therefore exact, and the barrier finalize sorts
-// every working set into a canonical order.
+// O(1), apply cut-edge ops to the resolver inline, and append intra-shard
+// ops to per-shard pending blocks that are posted to the workers as they
+// fill. Queries (Solution, Stats, SaveSnapshot, ...) impose a barrier —
+// drain every queue, then resolve on the calling thread: the resolver
+// collects the shards' local solutions and repairs their cut-edge
+// conflicts, sorting every working set into a canonical order. An engine
+// with S shards runs exactly S worker threads. The final solution is a pure
+// function of the update sequence: neither thread scheduling, block
+// boundaries nor barrier cadence affect it, so seeded runs replay
+// identically (see tests/sharded_engine_test.cc).
 //
 // With S = 1 every edge is intra-shard and the single worker replays
 // exactly what a MisEngine would: the degenerate case reproduces the
@@ -66,16 +56,6 @@ struct ShardedEngineOptions {
   // worker. A throughput knob only: the maintained solution is independent
   // of block boundaries.
   int block_ops = 1024;
-  // Run the CutEdgeResolver on its own worker thread, fed by shipped
-  // status transitions and cut-edge ops, so barriers finalize the standing
-  // conflict set instead of recomputing it. Falls back to the sequential
-  // resolver automatically when the maintainer cannot report transitions
-  // (the wholesale-rebuild baselines). A scheduling knob only: both modes
-  // resolve every barrier to the identical solution with identical
-  // conflict/eviction/re-add/swap counters. tests/sharded_engine_test.cc
-  // checks this barrier by barrier at S in {2, 4} under the hash and
-  // locality plans (several seeds and barrier cadences), and at S = 1.
-  bool async_resolver = true;
 };
 
 // Sharding-specific counters, alongside the common EngineStats.
@@ -92,11 +72,6 @@ struct ShardedStats {
   int64_t readded = 0;
   int64_t swaps = 0;            // Polish-pass 1-swaps.
   double resolve_seconds = 0;   // Wall time inside barrier resolutions.
-  // Asynchronous-resolver instrumentation (zeros in sequential mode).
-  bool async_resolver = false;      // Worker thread active.
-  int64_t resolver_backlog = 0;     // Unconsumed shipped ops right now.
-  int64_t resolver_conflicts = 0;   // Standing conflict-set size right now.
-  int64_t transitions_consumed = 0; // Lifetime transitions folded in.
   // Local (pre-resolution) solution size per shard at the last barrier.
   std::vector<int64_t> shard_solution_sizes;
 };
@@ -227,12 +202,6 @@ class ShardedMisEngine {
   void Barrier();
   // Barrier + resolution pass (cached until the next routed update).
   void EnsureResolved();
-  // Engages the asynchronous resolver when options allow and the
-  // maintainer supports status transitions: installs per-shard transition
-  // sinks, seeds the standing overlay from the current shard solutions,
-  // and starts the resolver worker. Call after every shard's maintainer
-  // exists (and has restored any state), before any shard Start().
-  void EnableAsyncResolver();
   bool LoadShards(SnapshotReader* reader);
   // Cross-structure consistency of freshly loaded shard/cut graphs.
   bool ValidateLoaded(SnapshotReader* reader) const;
@@ -245,7 +214,6 @@ class ShardedMisEngine {
   std::vector<Shard::Block> pending_;
 
   bool resolved_ = false;
-  bool async_active_ = false;
   CutEdgeResolver::Resolution resolution_;
 
   UpdateObserver observer_;

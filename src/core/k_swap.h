@@ -64,11 +64,6 @@ class KSwapMaintainer : public DynamicMisMaintainer {
   // Lifetime MoveIn/MoveOut count of the underlying state (see DyOneSwap).
   int64_t StateTransitionOps() const { return state_.status_ops(); }
 
-  bool SetStatusObserver(StatusObserverFn fn, void* ctx) override {
-    state_.SetStatusObserver(fn, ctx);
-    return true;
-  }
-
   int k() const { return k_; }
 
   void CheckConsistency() const {

@@ -65,11 +65,6 @@ class DyOneSwap : public DynamicMisMaintainer {
   // restore path never falls back to recomputation).
   int64_t StateTransitionOps() const { return state_.status_ops(); }
 
-  bool SetStatusObserver(StatusObserverFn fn, void* ctx) override {
-    state_.SetStatusObserver(fn, ctx);
-    return true;
-  }
-
   // Test hook: validates all internal invariants (O(n + m)).
   void CheckConsistency() const {
     state_.CheckConsistency(/*expect_maximal=*/true);

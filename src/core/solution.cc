@@ -246,9 +246,6 @@ void MisState::MoveIn(VertexId v) {
   status_[v] = 1;
   ++solution_size_;
   ++status_ops_;
-  if (status_observer_ != nullptr) {
-    status_observer_(status_observer_ctx_, v, true);
-  }
   for (EdgeId e = g_->FirstIncident(v); e != kInvalidEdge;
        e = g_->NextIncident(e, v)) {
     const VertexId u = g_->Other(e, v);
@@ -265,9 +262,6 @@ void MisState::MoveOut(VertexId v) {
   status_[v] = 0;
   --solution_size_;
   ++status_ops_;
-  if (status_observer_ != nullptr) {
-    status_observer_(status_observer_ctx_, v, false);
-  }
   int own_count = 0;
   for (EdgeId e = g_->FirstIncident(v); e != kInvalidEdge;
        e = g_->NextIncident(e, v)) {

@@ -131,19 +131,6 @@ class MisState {
   // all state lists and updates neighbour counts.
   void OnVertexRemoving(VertexId v);
 
-  // --- Status observer -------------------------------------------------------
-
-  // Called on every MoveIn (`in` = true) / MoveOut (`in` = false), after the
-  // membership flip. A plain function pointer + context rather than a
-  // std::function: the hook sits on the hottest path in the library and must
-  // cost one predictable branch when unset. The sharded engine's shards use
-  // it to ship status transitions to the asynchronous cut-edge resolver.
-  using StatusObserverFn = void (*)(void* ctx, VertexId v, bool in);
-  void SetStatusObserver(StatusObserverFn fn, void* ctx) {
-    status_observer_ = fn;
-    status_observer_ctx_ = ctx;
-  }
-
   // --- Transition log --------------------------------------------------------
 
   // Drains the transition log in place: calls fn(u) for every vertex whose
@@ -248,9 +235,6 @@ class MisState {
   std::vector<EdgeId> bar2_edge0_, bar2_edge1_;
 
   std::vector<VertexId> transitions_;
-
-  StatusObserverFn status_observer_ = nullptr;
-  void* status_observer_ctx_ = nullptr;
 };
 
 }  // namespace dynmis

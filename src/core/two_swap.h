@@ -59,11 +59,6 @@ class DyTwoSwap : public DynamicMisMaintainer {
   // Lifetime MoveIn/MoveOut count of the underlying state (see DyOneSwap).
   int64_t StateTransitionOps() const { return state_.status_ops(); }
 
-  bool SetStatusObserver(StatusObserverFn fn, void* ctx) override {
-    state_.SetStatusObserver(fn, ctx);
-    return true;
-  }
-
   void CheckConsistency() const {
     state_.CheckConsistency(/*expect_maximal=*/true);
   }

@@ -2235,11 +2235,6 @@ struct Server::Impl {
       out.push_back(']');
     }
     if (ShardedMisEngine* engine = backend->Sharded()) {
-      // Cut-edge resolver health: `resolver_backlog` (shipped ops the
-      // resolver worker has not yet consumed) and `resolver_conflicts`
-      // (standing conflict-set depth) are the two fields an operator
-      // should watch — a backlog that grows without bound means the
-      // resolver thread cannot keep up with update ingest.
       const ShardedStats sharded = engine->ShardStats();
       JsonKey(&out, "sharded");
       out.push_back('{');
@@ -2253,10 +2248,6 @@ struct Server::Impl {
       JsonInt(&out, "readded", sharded.readded);
       JsonInt(&out, "swaps", sharded.swaps);
       JsonDouble(&out, "resolve_seconds", sharded.resolve_seconds);
-      JsonInt(&out, "async_resolver", sharded.async_resolver ? 1 : 0);
-      JsonInt(&out, "resolver_backlog", sharded.resolver_backlog);
-      JsonInt(&out, "resolver_conflicts", sharded.resolver_conflicts);
-      JsonInt(&out, "transitions_consumed", sharded.transitions_consumed);
       out.push_back('}');
     }
     JsonKey(&out, "serving");

@@ -12,13 +12,9 @@ CutEdgeResolver::CutEdgeResolver(int initial_vertices) {
   alive_.assign(static_cast<size_t>(initial_vertices), 1);
   num_vertices_ = initial_vertices;
   adjacency_.resize(static_cast<size_t>(initial_vertices));
-  base_.assign(static_cast<size_t>(initial_vertices), 0);
-  conflict_pos_.assign(static_cast<size_t>(initial_vertices), -1);
 }
 
-CutEdgeResolver::~CutEdgeResolver() { StopWorker(); }
-
-// --- Id space (engine thread) ------------------------------------------------
+// --- Id space and cut-edge mutations -----------------------------------------
 
 VertexId CutEdgeResolver::AddVertex() {
   VertexId v;
@@ -28,6 +24,7 @@ VertexId CutEdgeResolver::AddVertex() {
   } else {
     v = static_cast<VertexId>(alive_.size());
     alive_.push_back(0);
+    adjacency_.emplace_back();
   }
   alive_[v] = 1;
   ++num_vertices_;
@@ -39,52 +36,19 @@ void CutEdgeResolver::RemoveVertex(VertexId v) {
   alive_[v] = 0;
   free_vertices_.push_back(v);
   --num_vertices_;
-  if (worker_started_) {
-    pending_cut_ops_.push_back(CutOp{CutOp::Kind::kDropVertex, v, v});
-    if (static_cast<int>(pending_cut_ops_.size()) >= block_ops_) {
-      FlushCutOps();
-    }
-  } else if (v < static_cast<VertexId>(adjacency_.size())) {
-    DropVertexEdges(v);
+  // Mirror fix-ups may rewrite adjacency_[v] entries' mirrors, so read each
+  // entry fresh by index.
+  for (size_t i = 0; i < adjacency_[v].size(); ++i) {
+    const Half h = adjacency_[v][i];
+    SwapRemoveHalf(h.to, h.mirror);
+    --num_edges_;
   }
+  adjacency_[v].clear();
 }
 
 void CutEdgeResolver::AddCutEdge(VertexId u, VertexId v) {
-  if (worker_started_) {
-    pending_cut_ops_.push_back(CutOp{CutOp::Kind::kAddEdge, u, v});
-    if (static_cast<int>(pending_cut_ops_.size()) >= block_ops_) {
-      FlushCutOps();
-    }
-    return;
-  }
   DYNMIS_DCHECK(IsVertexAlive(u));
   DYNMIS_DCHECK(IsVertexAlive(v));
-  EnsureCutCapacity(u > v ? u : v);
-  InsertEdgeHalves(u, v);
-}
-
-void CutEdgeResolver::RemoveCutEdge(VertexId u, VertexId v) {
-  if (worker_started_) {
-    pending_cut_ops_.push_back(CutOp{CutOp::Kind::kRemoveEdge, u, v});
-    if (static_cast<int>(pending_cut_ops_.size()) >= block_ops_) {
-      FlushCutOps();
-    }
-    return;
-  }
-  RemoveEdgeHalves(u, v);
-}
-
-// --- Structural mutations (inline or worker) ---------------------------------
-
-void CutEdgeResolver::EnsureCutCapacity(VertexId v) {
-  if (v < static_cast<VertexId>(adjacency_.size())) return;
-  const size_t size = static_cast<size_t>(v) + 1;
-  adjacency_.resize(size);
-  base_.resize(size, 0);
-  conflict_pos_.resize(size, -1);
-}
-
-void CutEdgeResolver::InsertEdgeHalves(VertexId u, VertexId v) {
   DYNMIS_DCHECK(!HasCutEdge(u, v));
   adjacency_[u].push_back(Half{v, static_cast<int32_t>(adjacency_[v].size())});
   adjacency_[v].push_back(
@@ -92,7 +56,7 @@ void CutEdgeResolver::InsertEdgeHalves(VertexId u, VertexId v) {
   ++num_edges_;
 }
 
-void CutEdgeResolver::RemoveEdgeHalves(VertexId u, VertexId v) {
+void CutEdgeResolver::RemoveCutEdge(VertexId u, VertexId v) {
   // Scan the smaller endpoint's contiguous array; its mirror locates the
   // far entry without touching the (possibly much longer) far array.
   if (CutDegree(v) < CutDegree(u)) std::swap(u, v);
@@ -106,17 +70,6 @@ void CutEdgeResolver::RemoveEdgeHalves(VertexId u, VertexId v) {
     return;
   }
   DYNMIS_DCHECK(false && "RemoveCutEdge: edge not present");
-}
-
-void CutEdgeResolver::DropVertexEdges(VertexId v) {
-  // Mirror fix-ups may rewrite adjacency_[v] entries' mirrors, so read each
-  // entry fresh by index.
-  for (size_t i = 0; i < adjacency_[v].size(); ++i) {
-    const Half h = adjacency_[v][i];
-    SwapRemoveHalf(h.to, h.mirror);
-    --num_edges_;
-  }
-  adjacency_[v].clear();
 }
 
 void CutEdgeResolver::SwapRemoveHalf(VertexId owner, int32_t index) {
@@ -142,203 +95,6 @@ std::vector<std::pair<VertexId, VertexId>> CutEdgeResolver::CutEdgeList()
   return edges;
 }
 
-// --- Asynchronous worker -----------------------------------------------------
-
-void CutEdgeResolver::StartWorker() {
-  DYNMIS_CHECK(!worker_started_);
-  DYNMIS_CHECK(pending_cut_ops_.empty());
-  worker_stop_ = false;
-  worker_started_ = true;
-  worker_ = std::thread([this] { WorkerLoop(); });
-}
-
-void CutEdgeResolver::StopWorker() {
-  if (!worker_started_) return;
-  FlushCutOps();
-  {
-    std::lock_guard<std::mutex> lock(inbox_mutex_);
-    worker_stop_ = true;
-  }
-  inbox_cv_.notify_one();
-  worker_.join();
-  worker_started_ = false;
-  worker_stop_ = false;
-}
-
-void CutEdgeResolver::ShipTransitions(TransitionBatch&& batch) {
-  if (batch.empty()) return;
-  DYNMIS_DCHECK(worker_started_);
-  const size_t ops = batch.size();
-  Message message;
-  message.transitions = std::move(batch);
-  EnqueueMessage(std::move(message), ops);
-}
-
-void CutEdgeResolver::FlushCutOps() {
-  if (!worker_started_ || pending_cut_ops_.empty()) return;
-  const size_t ops = pending_cut_ops_.size();
-  Message message;
-  message.cut_ops = std::move(pending_cut_ops_);
-  pending_cut_ops_.clear();
-  EnqueueMessage(std::move(message), ops);
-}
-
-void CutEdgeResolver::EnqueueMessage(Message&& message, size_t ops) {
-  backlog_ops_.fetch_add(static_cast<int64_t>(ops),
-                         std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(inbox_mutex_);
-    inbox_.push_back(std::move(message));
-  }
-  inbox_cv_.notify_one();
-}
-
-void CutEdgeResolver::DrainWorker() {
-  if (!worker_started_) return;
-  FlushCutOps();
-  std::unique_lock<std::mutex> lock(inbox_mutex_);
-  drained_cv_.wait(lock, [&] { return inbox_.empty() && !worker_busy_; });
-  // The mutex hand-off makes every worker write to the cut structures
-  // visible here; the engine thread owns them until the next ship.
-}
-
-void CutEdgeResolver::WorkerLoop() {
-  std::unique_lock<std::mutex> lock(inbox_mutex_);
-  for (;;) {
-    while (inbox_.empty() && !worker_stop_) {
-      drained_cv_.notify_all();
-      inbox_cv_.wait(lock);
-    }
-    if (inbox_.empty()) break;  // Stop requested and fully drained.
-    Message message = std::move(inbox_.front());
-    inbox_.pop_front();
-    worker_busy_ = true;
-    lock.unlock();
-    Consume(message);
-    lock.lock();
-    worker_busy_ = false;
-  }
-  drained_cv_.notify_all();
-}
-
-void CutEdgeResolver::Consume(Message& message) {
-  // Conflict status is a pure function of the overlay and the cut
-  // adjacency, so rechecks are deferred to the end of the message: each
-  // op marks the vertices whose status it may have changed, and every
-  // marked vertex is rechecked exactly once after all of the message's
-  // mutations applied. Ops inside one block touch heavily overlapping
-  // neighborhoods (a shard's transition batch walks one region of the
-  // graph), so the dedup removes most of the consumption cost; nothing
-  // observes the conflict set mid-message — the engine thread only reads
-  // it after DrainWorker, and a drain ends on a message boundary.
-  dirty_.clear();
-  for (const Transition& t : message.transitions) {
-    EnsureCutCapacity(t.v);
-    base_[t.v] = t.in;
-    // The flip changes v's own conflict status and possibly every cut
-    // neighbor's (v is the neighbor they conflict through).
-    MarkDirty(t.v);
-    for (const Half& h : adjacency_[t.v]) MarkDirty(h.to);
-  }
-  for (const CutOp& op : message.cut_ops) {
-    switch (op.kind) {
-      case CutOp::Kind::kAddEdge:
-        ApplyAddCutEdge(op.u, op.v);
-        break;
-      case CutOp::Kind::kRemoveEdge:
-        ApplyRemoveCutEdge(op.u, op.v);
-        break;
-      case CutOp::Kind::kDropVertex:
-        ApplyDropVertex(op.u);
-        break;
-    }
-  }
-  for (const VertexId v : dirty_) {
-    dirty_flag_[v] = 0;
-    RecheckConflict(v);
-  }
-  if (!message.transitions.empty()) {
-    transitions_consumed_.fetch_add(
-        static_cast<int64_t>(message.transitions.size()),
-        std::memory_order_relaxed);
-  }
-  backlog_ops_.fetch_sub(
-      static_cast<int64_t>(message.transitions.size() +
-                           message.cut_ops.size()),
-      std::memory_order_relaxed);
-}
-
-void CutEdgeResolver::ApplyAddCutEdge(VertexId u, VertexId v) {
-  EnsureCutCapacity(u > v ? u : v);
-  InsertEdgeHalves(u, v);
-  MarkDirty(u);
-  MarkDirty(v);
-}
-
-void CutEdgeResolver::ApplyRemoveCutEdge(VertexId u, VertexId v) {
-  EnsureCutCapacity(u > v ? u : v);
-  RemoveEdgeHalves(u, v);
-  MarkDirty(u);
-  MarkDirty(v);
-}
-
-void CutEdgeResolver::ApplyDropVertex(VertexId v) {
-  EnsureCutCapacity(v);
-  // base_[v] deliberately stays: membership is owned by the transition
-  // stream (every maintainer MoveOuts a member before deleting it), and
-  // with id recycling this drop can be consumed after the recycled
-  // vertex's MoveIn — zeroing here would erase live state.
-  MarkDirty(v);
-  for (const Half& h : adjacency_[v]) MarkDirty(h.to);
-  DropVertexEdges(v);
-}
-
-void CutEdgeResolver::RecheckConflict(VertexId v) {
-  bool conflicted = false;
-  if (base_[v]) {
-    for (const Half& h : adjacency_[v]) {
-      if (base_[h.to]) {
-        conflicted = true;
-        break;
-      }
-    }
-  }
-  const bool listed = conflict_pos_[v] >= 0;
-  if (conflicted == listed) return;
-  if (conflicted) {
-    conflict_pos_[v] = static_cast<int32_t>(conflict_list_.size());
-    conflict_list_.push_back(v);
-  } else {
-    const int32_t pos = conflict_pos_[v];
-    const VertexId moved = conflict_list_.back();
-    conflict_list_.pop_back();
-    if (moved != v) {
-      conflict_list_[pos] = moved;
-      conflict_pos_[moved] = pos;
-    }
-    conflict_pos_[v] = -1;
-  }
-  standing_conflicts_.store(static_cast<int64_t>(conflict_list_.size()),
-                            std::memory_order_relaxed);
-}
-
-void CutEdgeResolver::SeedOverlay(
-    const std::vector<std::unique_ptr<Shard>>& shards) {
-  const int capacity = VertexCapacity();
-  if (capacity > 0) EnsureCutCapacity(capacity - 1);
-  std::fill(base_.begin(), base_.end(), 0);
-  std::fill(conflict_pos_.begin(), conflict_pos_.end(), -1);
-  conflict_list_.clear();
-  members_.clear();
-  for (const auto& shard : shards) {
-    shard->maintainer().CollectSolution(&members_);
-  }
-  for (const VertexId v : members_) base_[v] = 1;
-  for (const VertexId v : members_) RecheckConflict(v);
-  standing_conflicts_.store(static_cast<int64_t>(conflict_list_.size()),
-                            std::memory_order_relaxed);
-}
-
 // --- Barrier resolution ------------------------------------------------------
 
 CutEdgeResolver::Resolution CutEdgeResolver::Resolve(
@@ -346,7 +102,6 @@ CutEdgeResolver::Resolution CutEdgeResolver::Resolve(
     const std::vector<std::unique_ptr<Shard>>& shards) {
   Resolution result;
   const int capacity = VertexCapacity();
-  if (capacity > 0) EnsureCutCapacity(capacity - 1);
 
   // Overlay membership: the union of the shards' local solutions. Every
   // member is alive in its shard graph, and intra-shard independence holds
@@ -372,38 +127,7 @@ CutEdgeResolver::Resolution CutEdgeResolver::Resolve(
   }
   result.conflicts = conflict_edges;
 
-  RepairAndPolish(plan, shards, /*restrict_polish=*/false, &result);
-  return result;
-}
-
-CutEdgeResolver::Resolution CutEdgeResolver::ResolveIncremental(
-    const PartitionPlan& plan,
-    const std::vector<std::unique_ptr<Shard>>& shards) {
-  DYNMIS_DCHECK(BacklogOps() == 0);
-  DYNMIS_DCHECK(pending_cut_ops_.empty());
-  Resolution result;
-  const int capacity = VertexCapacity();
-  if (capacity > 0) EnsureCutCapacity(capacity - 1);
-
-  // The worker already holds the overlay (base_) and its exact conflict
-  // set; the barrier starts from them instead of re-deriving either. The
-  // conflict list is copied because the repair must not disturb the
-  // standing state — conflicts are between *shard-local* solutions, which
-  // the barrier doesn't change, so they persist across barriers until the
-  // shards themselves move.
-  in_sol_.assign(base_.begin(), base_.end());
-  conflicted_.assign(conflict_list_.begin(), conflict_list_.end());
-  int64_t conflict_edges = 0;
-  for (const VertexId v : conflicted_) {
-    for (const Half& h : adjacency_[v]) {
-      // Both endpoints of a conflicting edge are in the conflict set, so
-      // counting at the lower endpoint counts each edge once.
-      if (in_sol_[h.to] && v < h.to) ++conflict_edges;
-    }
-  }
-  result.conflicts = conflict_edges;
-
-  RepairAndPolish(plan, shards, /*restrict_polish=*/true, &result);
+  RepairAndPolish(plan, shards, &result);
   return result;
 }
 
@@ -427,8 +151,7 @@ void CutEdgeResolver::SortByDegree(
 
 void CutEdgeResolver::RepairAndPolish(
     const PartitionPlan& plan,
-    const std::vector<std::unique_ptr<Shard>>& shards, bool restrict_polish,
-    Resolution* result) {
+    const std::vector<std::unique_ptr<Shard>>& shards, Resolution* result) {
   const int capacity = VertexCapacity();
   for (const VertexId v : conflicted_) in_sol_[v] = 0;
   // Without cut edges nothing conflicts and no 1-swap exists (every shard
@@ -458,8 +181,8 @@ void CutEdgeResolver::RepairAndPolish(
     // recheck_[m]: member m's bar1 set may have changed since the polish
     // last visited it. bar1 sets move only when a vertex's count enters or
     // leaves 1, and the XOR names the member whose set that is. Marks made
-    // before the polish are harmless: its first pass visits every pool
-    // member anyway.
+    // before the polish are harmless: its first pass visits every member
+    // anyway.
     cover_.assign(static_cast<size_t>(capacity), Cover{});
     recheck_.assign(static_cast<size_t>(capacity), 0);
     for (VertexId v = 0; v < capacity; ++v) {
@@ -502,15 +225,15 @@ void CutEdgeResolver::RepairAndPolish(
     // their conflicts; per-edge eviction in arbitrary order costs several
     // percent of solution quality.
     SortByDegree(plan, shards, &conflicted_);
-    evicted_.clear();
+    evicted_mark_.assign(static_cast<size_t>(capacity), 0);
     for (const VertexId v : conflicted_) {
       if (cover_[v].count == 0) {
         join(v);
       } else {
-        evicted_.push_back(v);
+        evicted_mark_[v] = 1;
+        ++result->evictions;
       }
     }
-    result->evictions = static_cast<int64_t>(evicted_.size());
 
     // Re-extension candidates: the neighbors of evictions that are neither
     // members nor blocked now (the solution only grows from here until the
@@ -518,8 +241,6 @@ void CutEdgeResolver::RepairAndPolish(
     // from their own side — an uncovered non-member next to an eviction —
     // which walks only the few uncovered vertices instead of every evicted
     // hub's neighborhood.
-    evicted_mark_.assign(static_cast<size_t>(capacity), 0);
-    for (const VertexId v : evicted_) evicted_mark_[v] = 1;
     candidates_.clear();
     for (VertexId u = 0; u < capacity; ++u) {
       if (in_sol_[u] || cover_[u].count > 0 || !alive_[u]) continue;
@@ -534,13 +255,11 @@ void CutEdgeResolver::RepairAndPolish(
     // quality reference). One pass suffices: a rejected candidate's
     // blocking neighbor stays in the solution.
     SortByDegree(plan, shards, &candidates_);
-    readded_.clear();
     for (const VertexId c : candidates_) {
       if (cover_[c].count > 0) continue;
       join(c);
-      readded_.push_back(c);
+      ++result->readded;
     }
-    result->readded = static_cast<int64_t>(readded_.size());
 
     // Polish: 1-swap restoration over the stitched solution (the move
     // behind paper Algorithm 2). The overlay is maximal, but stitching
@@ -549,68 +268,14 @@ void CutEdgeResolver::RepairAndPolish(
     // the pair grows the solution by one. A few passes recover the quality
     // the shard-local view gave up to cut-edge blindness (measured on the
     // hard scenario: 0.95 -> 0.99+ of the greedy reference).
-    //
-    // The active pool: members the polish will visit. Restricted mode
-    // takes cut-incident members (cut-blindness swaps live there) plus
-    // every member within distance 2 of a repair change (the only places
-    // bar1 sets moved — shard solutions are locally swap-optimal, so
-    // profitable swaps cannot hide elsewhere); full mode takes everyone.
-    // Vertices added by swaps join the pool for later passes.
-    active_.assign(static_cast<size_t>(capacity), 0);
-    auto activate = [&](VertexId v) {
-      if (in_sol_[v]) active_[v] = 1;
-    };
-    // When the repair changed a large fraction of the graph, the
-    // distance-2 closure below would activate nearly every member anyway
-    // and the seeding sweep is pure overhead — take the full pool
-    // directly. The threshold depends only on this barrier's repair
-    // (itself a pure function of the shard states and the cut edges), so
-    // the pool stays replay- and cadence-invariant; and since the
-    // restricted pool is sound (no profitable swap outside it), widening
-    // to the full pool never changes the outcome, only the cost.
-    const bool widespread_repair =
-        8 * (evicted_.size() + readded_.size()) >=
-        static_cast<size_t>(num_vertices_);
-    if (restrict_polish && !widespread_repair) {
-      for (VertexId v = 0; v < capacity; ++v) {
-        if (in_sol_[v] && !adjacency_[v].empty()) activate(v);
-      }
-      // Distance-2 activation around every repair change. Change
-      // neighborhoods overlap heavily (an eviction and the vertices
-      // re-added around it share most of their surroundings), so each
-      // vertex's adjacency is expanded at most once per role — seeded_
-      // for the distance-1 sweep, expanded_ for the distance-2 sweep —
-      // bounding the whole pass by one edge scan regardless of how many
-      // changes a barrier repairs. The activated set is identical to the
-      // naive per-seed traversal; only duplicate walks are skipped.
-      seeded_.assign(static_cast<size_t>(capacity), 0);
-      expanded_.assign(static_cast<size_t>(capacity), 0);
-      auto seed = [&](VertexId s) {
-        activate(s);
-        if (seeded_[s]) return;
-        seeded_[s] = 1;
-        for_each_neighbor(s, [&](VertexId n) {
-          activate(n);
-          if (expanded_[n]) return;
-          expanded_[n] = 1;
-          for_each_neighbor(n, [&](VertexId w) { activate(w); });
-        });
-      };
-      for (const VertexId v : evicted_) seed(v);
-      for (const VertexId v : readded_) seed(v);
-    } else {
-      for (VertexId v = 0; v < capacity; ++v) activate(v);
-    }
-
     constexpr int kMaxPasses = 3;
     constexpr size_t kPairPool = 16;
     for (int pass = 0; pass < kMaxPasses; ++pass) {
-      // Iterate the pool's current members in ascending id order — a
-      // canonical order, so the outcome never depends on how the pool
-      // was discovered.
+      // Iterate the current members in ascending id order — a canonical
+      // order, so the outcome never depends on how the shards found them.
       members_.clear();
       for (VertexId v = 0; v < capacity; ++v) {
-        if (active_[v] && in_sol_[v]) members_.push_back(v);
+        if (in_sol_[v]) members_.push_back(v);
       }
       int64_t swaps_this_pass = 0;
       for (const VertexId v : members_) {
@@ -653,16 +318,11 @@ void CutEdgeResolver::RepairAndPolish(
         leave(v);
         join(first);
         join(second);
-        activate(first);
-        activate(second);
         // Every other exclusively-covered neighbor freed by v's departure
         // and not blocked by the pair joins too (full list, not the pool:
         // anything left at count 0 would make the result non-maximal).
         for (const VertexId w : bar1_) {
-          if (!in_sol_[w] && cover_[w].count == 0) {
-            join(w);
-            activate(w);
-          }
+          if (!in_sol_[w] && cover_[w].count == 0) join(w);
         }
         ++swaps_this_pass;
       }
@@ -697,7 +357,6 @@ void CutEdgeResolver::SaveTo(SnapshotWriter* w) const {
 }
 
 bool CutEdgeResolver::LoadFrom(SnapshotReader* r) {
-  DYNMIS_CHECK(!worker_started_);
   if (!r->OpenSection("state")) return false;
   auto fail = [&](const char* message) {
     r->Fail(std::string("snapshot: cut state: ") + message);
@@ -752,14 +411,8 @@ bool CutEdgeResolver::LoadFrom(SnapshotReader* r) {
     }
   }
 
-  // Adopt and rebuild the derived structures. The overlay and conflict set
-  // reset empty: a snapshot load restores maintainer solutions without
-  // MoveIns, so the engine re-seeds via SeedOverlay before StartWorker.
+  // Adopt and rebuild the derived structures.
   adjacency_.assign(static_cast<size_t>(capacity), {});
-  base_.assign(static_cast<size_t>(capacity), 0);
-  conflict_pos_.assign(static_cast<size_t>(capacity), -1);
-  conflict_list_.clear();
-  standing_conflicts_.store(0, std::memory_order_relaxed);
   alive_ = std::move(alive);
   free_vertices_ = std::move(free_list);
   num_vertices_ = nv;
@@ -772,15 +425,11 @@ bool CutEdgeResolver::LoadFrom(SnapshotReader* r) {
 
 size_t CutEdgeResolver::MemoryUsageBytes() const {
   return NestedVectorBytes(adjacency_) + VectorBytes(alive_) +
-         VectorBytes(free_vertices_) + VectorBytes(base_) +
-         VectorBytes(conflict_pos_) + VectorBytes(conflict_list_) +
-         VectorBytes(in_sol_) + VectorBytes(members_) +
-         VectorBytes(conflicted_) + VectorBytes(evicted_) +
-         VectorBytes(evicted_mark_) + VectorBytes(readded_) +
-         VectorBytes(candidates_) + VectorBytes(cover_) +
-         VectorBytes(recheck_) + VectorBytes(keys_) + VectorBytes(seeded_) +
-         VectorBytes(expanded_) + VectorBytes(dirty_) +
-         VectorBytes(dirty_flag_) + VectorBytes(active_) + VectorBytes(bar1_);
+         VectorBytes(free_vertices_) + VectorBytes(in_sol_) +
+         VectorBytes(members_) + VectorBytes(conflicted_) +
+         VectorBytes(evicted_mark_) + VectorBytes(candidates_) +
+         VectorBytes(cover_) + VectorBytes(recheck_) + VectorBytes(keys_) +
+         VectorBytes(bar1_);
 }
 
 }  // namespace dynmis

@@ -16,10 +16,9 @@
 //    owner table, so the plan is stateful but lookup stays O(1). A recycled
 //    id keeps its previous owner: the id may still have in-flight ops in
 //    the old owner's queue, and reassigning it would split one vertex's
-//    status-transition stream across two shard producers (the asynchronous
-//    resolver relies on a single ordered producer per vertex). The owner
-//    table travels in snapshots (PartitionPlan::RestoreLocality), so a
-//    restored engine maps ids exactly as the saved one did.
+//    op sequence across two shard queues. The owner table travels in
+//    snapshots (PartitionPlan::RestoreLocality), so a restored engine maps
+//    ids exactly as the saved one did.
 
 #ifndef DYNMIS_SRC_SHARD_PARTITION_PLAN_H_
 #define DYNMIS_SRC_SHARD_PARTITION_PLAN_H_

@@ -12,22 +12,6 @@ bool Shard::BuildMaintainer(const MaintainerConfig& config) {
   return maintainer_ != nullptr;
 }
 
-void Shard::BufferTransition(void* ctx, VertexId v, bool in) {
-  auto* shard = static_cast<Shard*>(ctx);
-  shard->outgoing_.push_back(StatusTransition{v, static_cast<uint8_t>(in)});
-}
-
-bool Shard::SetTransitionSink(
-    std::function<void(StatusTransitionBatch&&)> sink) {
-  DYNMIS_CHECK(maintainer_ != nullptr);
-  DYNMIS_CHECK(!started_);
-  if (!maintainer_->SetStatusObserver(&Shard::BufferTransition, this)) {
-    return false;
-  }
-  transition_sink_ = std::move(sink);
-  return true;
-}
-
 void Shard::Start() {
   DYNMIS_CHECK(maintainer_ != nullptr);
   DYNMIS_CHECK(!started_);
@@ -90,16 +74,7 @@ void Shard::Loop() {
       busy_ = true;
     }
     const bool stop = command.kind == Command::Kind::kStop;
-    if (!stop) {
-      Execute(command);
-      // Ship this command's transitions before reporting idle, so a
-      // barrier that has seen this shard idle can rely on the resolver's
-      // inbox already holding everything the shard produced.
-      if (transition_sink_ && !outgoing_.empty()) {
-        transition_sink_(std::move(outgoing_));
-        outgoing_.clear();
-      }
-    }
+    if (!stop) Execute(command);
     {
       std::lock_guard<std::mutex> lock(mutex_);
       busy_ = false;

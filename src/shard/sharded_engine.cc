@@ -83,7 +83,6 @@ std::unique_ptr<ShardedMisEngine> ShardedMisEngine::Create(
   for (auto& shard : engine->shards_) {
     if (!shard->BuildMaintainer(engine->config_)) return nullptr;
   }
-  engine->EnableAsyncResolver();
   for (auto& shard : engine->shards_) shard->Start();
   return engine;
 }
@@ -140,43 +139,13 @@ std::unique_ptr<ShardedMisEngine> ShardedMisEngine::CreateFromGraph(
   for (auto& shard : engine->shards_) {
     if (!shard->BuildMaintainer(engine->config_)) return nullptr;
   }
-  engine->EnableAsyncResolver();
   for (auto& shard : engine->shards_) shard->Start();
   return engine;
-}
-
-void ShardedMisEngine::EnableAsyncResolver() {
-  if (!options_.async_resolver) return;
-  // All shards run the same algorithm, so probing one maintainer decides
-  // for all (a nullptr install is support detection, not an installation).
-  if (!shards_[0]->maintainer().SetStatusObserver(nullptr, nullptr)) return;
-  for (auto& shard : shards_) {
-    const bool installed = shard->SetTransitionSink(
-        [this](StatusTransitionBatch&& batch) {
-          resolver_.ShipTransitions(std::move(batch));
-        });
-    DYNMIS_CHECK(installed);
-  }
-  resolver_.SetBlockOps(options_.block_ops);
-  // Seed the standing overlay from whatever solutions the maintainers
-  // already hold — empty at creation, restored state after a snapshot load
-  // (which performs no observable MoveIns).
-  resolver_.SeedOverlay(shards_);
-  resolver_.StartWorker();
-  async_active_ = true;
 }
 
 void ShardedMisEngine::Initialize() {
   for (auto& shard : shards_) shard->PostInitialize();
   resolved_ = false;
-  if (async_active_) {
-    // Initialize() rebuilds the shard solutions wholesale (no MoveOut per
-    // displaced member), so re-seed the overlay instead of folding the
-    // initialize transitions into pre-initialize residue.
-    for (auto& shard : shards_) shard->WaitIdle();
-    resolver_.DrainWorker();
-    resolver_.SeedOverlay(shards_);
-  }
   EnsureResolved();
 }
 
@@ -217,8 +186,7 @@ VertexId ShardedMisEngine::Route(const GraphUpdate& update) {
       const VertexId id = resolver_.AddVertex();
       // A locality plan places a never-before-seen id now, voting with the
       // vertex's current neighbors; a recycled id keeps its previous owner
-      // (in-flight queue consistency and the resolver's single-producer-
-      // per-vertex invariant both depend on it).
+      // (in-flight queue consistency depends on it).
       if (plan_.assigns_on_insert() && !plan_.HasOwner(id)) {
         plan_.AssignVertex(id, update.neighbors);
       }
@@ -240,10 +208,9 @@ VertexId ShardedMisEngine::Route(const GraphUpdate& update) {
     }
     case UpdateKind::kDeleteVertex: {
       const int s = plan_.ShardOf(update.u);
-      // Frees the global id for recycling and drops the cut edges — inline
-      // in sequential mode, via a shipped op in async mode (a recycled id
-      // maps back to the same shard, so the shard's queue order keeps
-      // delete-then-reinsert sequences consistent).
+      // Frees the global id for recycling and drops the cut edges (a
+      // recycled id maps back to the same shard, so the shard's queue order
+      // keeps delete-then-reinsert sequences consistent).
       resolver_.RemoveVertex(update.u);
       plan_.OnVertexRemoved(update.u);
       append_edge_op(s);
@@ -338,10 +305,6 @@ void ShardedMisEngine::Barrier() {
     }
   }
   for (auto& shard : shards_) shard->WaitIdle();
-  // Shards idle means every transition they will ever ship for the posted
-  // blocks is already in the resolver's inbox; draining now leaves the
-  // standing overlay and conflict set exact.
-  if (async_active_) resolver_.DrainWorker();
 }
 
 void ShardedMisEngine::Flush() { Barrier(); }
@@ -350,8 +313,7 @@ void ShardedMisEngine::EnsureResolved() {
   if (resolved_) return;
   Barrier();
   Timer resolve_timer;
-  resolution_ = async_active_ ? resolver_.ResolveIncremental(plan_, shards_)
-                              : resolver_.Resolve(plan_, shards_);
+  resolution_ = resolver_.Resolve(plan_, shards_);
   resolve_seconds_ += resolve_timer.ElapsedSeconds();
   ++barriers_;
   total_conflicts_ += resolution_.conflicts;
@@ -456,12 +418,6 @@ ShardedStats ShardedMisEngine::ShardStats() {
   stats.readded = total_readded_;
   stats.swaps = total_swaps_;
   stats.resolve_seconds = resolve_seconds_;
-  stats.async_resolver = async_active_;
-  if (async_active_) {
-    stats.resolver_backlog = resolver_.BacklogOps();
-    stats.resolver_conflicts = resolver_.StandingConflicts();
-    stats.transitions_consumed = resolver_.TransitionsConsumed();
-  }
   return stats;
 }
 
@@ -484,7 +440,9 @@ void ShardedMisEngine::SaveTo(SnapshotWriter* writer) {
   writer->PutU8(static_cast<uint8_t>(plan_.strategy()));
   writer->PutI32(plan_.block_size());
   writer->PutI32(options_.block_ops);
-  writer->PutU8(options_.async_resolver ? 1 : 0);
+  // Reserved. It held a resolver-mode flag that no longer exists; writing
+  // 1, what every default engine wrote, keeps snapshot files unchanged.
+  writer->PutU8(1);
   writer->PutI64(updates_applied_);
   writer->PutDouble(update_seconds_);
   writer->PutDouble(resolve_seconds_);
@@ -611,7 +569,7 @@ std::unique_ptr<ShardedMisEngine> ShardedMisEngine::LoadSnapshot(
   ShardedEngineOptions options;
   options.num_shards = num_shards;
   options.block_ops = reader.GetI32();
-  const uint8_t async_resolver = reader.GetU8();
+  const uint8_t reserved = reader.GetU8();  // 0 or 1; see SaveTo.
   const int64_t updates_applied = reader.GetI64();
   const double update_seconds = reader.GetDouble();
   const double resolve_seconds = reader.GetDouble();
@@ -641,13 +599,12 @@ std::unique_ptr<ShardedMisEngine> ShardedMisEngine::LoadSnapshot(
   if (config.k < 1 || config.k > kMaxKSwapOrder ||
       config.recompute_every < 1 || num_shards < 1 ||
       num_shards > kMaxShards || strategy > 2 || block_size < 1 ||
-      options.block_ops < 1 || async_resolver > 1) {
+      options.block_ops < 1 || reserved > 1) {
     report(SnapshotStatus::Error(
         "snapshot: sharded configuration out of range"));
     return nullptr;
   }
   options.partition = static_cast<PartitionStrategy>(strategy);
-  options.async_resolver = async_resolver != 0;
   const bool locality = options.partition == PartitionStrategy::kLocality;
   if (!locality && !owners.empty()) {
     report(SnapshotStatus::Error(
@@ -681,7 +638,6 @@ std::unique_ptr<ShardedMisEngine> ShardedMisEngine::LoadSnapshot(
       if (engine->resolver_.IsVertexAlive(v)) engine->plan_.OnVertexAdded(v);
     }
   }
-  engine->EnableAsyncResolver();
   for (auto& shard : engine->shards_) shard->Start();
   engine->updates_applied_ = updates_applied;
   engine->update_seconds_ = update_seconds;

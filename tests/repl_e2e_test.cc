@@ -332,8 +332,8 @@ TEST(ReplReshardTest, OnlineReshardDownAndUpUnderChurn) {
   ExpectVerifyOk(&client);
 
   // A plan token on the RESHARD line switches the partition plan during
-  // the rebuild; STATS' sharded block reports the new plan plus resolver
-  // health (a drained backlog at this quiescent point).
+  // the rebuild; STATS' sharded block reports the new plan plus the
+  // barrier repair counters and time.
   EXPECT_EQ(client.Ask("RESHARD 4 locality"), "OK RESHARD started 4 locality");
   ASSERT_TRUE(WaitUntil([&] {
     const std::string stats = client.Ask("STATS");
@@ -342,8 +342,12 @@ TEST(ReplReshardTest, OnlineReshardDownAndUpUnderChurn) {
            stats.find("\"partition\":\"locality\"") != std::string::npos;
   }));
   const std::string stats = client.Ask("STATS");
-  EXPECT_NE(stats.find("\"resolver_backlog\":0"), std::string::npos) << stats;
-  EXPECT_NE(stats.find("\"resolver_conflicts\":"), std::string::npos) << stats;
+  const size_t begin = stats.find("\"sharded\":{");
+  ASSERT_NE(begin, std::string::npos) << stats;
+  const std::string sharded =
+      stats.substr(begin, stats.find('}', begin) - begin);
+  EXPECT_NE(sharded.find("\"conflicts\":"), std::string::npos) << stats;
+  EXPECT_NE(sharded.find("\"resolve_seconds\":"), std::string::npos) << stats;
   Churn(server.port(), 67, 40);
   ExpectVerifyOk(&client);
 }

@@ -1,15 +1,17 @@
 // ShardedMisEngine: independence + maximality of the resolved solution
 // under churn, hash vs range partition plans, deterministic replay (both
-// across runs and across flush/block boundaries), S=1 degeneration to the
-// single engine, vertex inserts landing in the plan's shard, snapshot
-// round-trips including empty shards, and golden per-barrier output that
-// the async and sequential resolvers must both reproduce.
+// across runs and across flush/block boundaries and barrier cadences), S=1
+// degeneration to the single engine, vertex inserts landing in the plan's
+// shard, snapshot round-trips including empty shards, and golden
+// per-barrier output of the barrier repair.
 
 #include "dynmis/sharded_engine.h"
 
 #include <algorithm>
+#include <memory>
 #include <set>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -45,6 +47,40 @@ ShardedEngineOptions Opts(int shards, PartitionStrategy strategy =
   options.num_shards = shards;
   options.partition = strategy;
   return options;
+}
+
+// Replays `trace` through ApplyBatch in chunks of `chunk` ops, forcing a
+// barrier + resolution after every `query_every` chunks (never when 0).
+// Returns the engine for final queries, or nullptr when creation fails.
+std::unique_ptr<ShardedMisEngine> ReplayInChunks(
+    const EdgeListGraph& base, const std::vector<GraphUpdate>& trace,
+    const ShardedEngineOptions& options, size_t chunk, int query_every) {
+  auto engine = ShardedMisEngine::Create(base, {"DyTwoSwap"}, options);
+  if (engine == nullptr) return nullptr;
+  engine->Initialize();
+  int since_query = 0;
+  for (size_t i = 0; i < trace.size(); i += chunk) {
+    const size_t end = std::min(trace.size(), i + chunk);
+    engine->ApplyBatch({trace.begin() + static_cast<long>(i),
+                        trace.begin() + static_cast<long>(end)});
+    if (query_every > 0 && ++since_query >= query_every) {
+      since_query = 0;
+      engine->SolutionSize();  // Forces a barrier + resolution mid-run.
+    }
+  }
+  return engine;
+}
+
+// ReplayInChunks with the block size set, returning the final solution.
+std::vector<VertexId> ReplaySolution(const EdgeListGraph& base,
+                                     const std::vector<GraphUpdate>& trace,
+                                     ShardedEngineOptions options,
+                                     int block_ops, size_t chunk,
+                                     int query_every) {
+  options.block_ops = block_ops;
+  auto engine = ReplayInChunks(base, trace, options, chunk, query_every);
+  EXPECT_NE(engine, nullptr);
+  return engine != nullptr ? engine->Solution() : std::vector<VertexId>{};
 }
 
 TEST(ShardedEngineTest, CreateRejectsBadConfiguration) {
@@ -143,33 +179,42 @@ TEST(ShardedEngineTest, DeterministicReplayAcrossFlushBoundaries) {
   const EdgeListGraph base = SmallGraph(23);
   const std::vector<GraphUpdate> trace = ChurnTrace(base, 500, 29);
 
-  auto run = [&](int block_ops, int chunk, int query_every) {
-    ShardedEngineOptions options = Opts(3);
-    options.block_ops = block_ops;
-    auto engine = ShardedMisEngine::Create(base, {"DyTwoSwap"}, options);
-    EXPECT_NE(engine, nullptr);
-    engine->Initialize();
-    size_t i = 0;
-    int since_query = 0;
-    while (i < trace.size()) {
-      const size_t end = std::min(trace.size(), i + chunk);
-      engine->ApplyBatch(
-          {trace.begin() + static_cast<long>(i),
-           trace.begin() + static_cast<long>(end)});
-      i = end;
-      if (query_every > 0 && ++since_query >= query_every) {
-        since_query = 0;
-        engine->SolutionSize();  // Forces a barrier + resolution mid-run.
-      }
-    }
-    return engine->Solution();
-  };
-
-  const std::vector<VertexId> a = run(1024, 97, 0);
-  const std::vector<VertexId> b = run(7, 1, 3);
-  const std::vector<VertexId> c = run(256, 500, 1);
+  const std::vector<VertexId> a =
+      ReplaySolution(base, trace, Opts(3), 1024, 97, 0);
+  const std::vector<VertexId> b = ReplaySolution(base, trace, Opts(3), 7, 1, 3);
+  const std::vector<VertexId> c =
+      ReplaySolution(base, trace, Opts(3), 256, 500, 1);
   EXPECT_EQ(a, b);
   EXPECT_EQ(a, c);
+
+  // Resolution never writes back to the shards, so the final solution
+  // does not depend on how often barriers resolved along the way either:
+  // a barrier every 7 ops and one every 100 reach the same maximal
+  // independent set, across seeds, shard counts and plans.
+  for (const uint64_t seed : {131, 137, 139, 149}) {
+    const EdgeListGraph graph = SmallGraph(seed, 300, 900);
+    const std::vector<GraphUpdate> stream = ChurnTrace(graph, 500, seed + 1);
+    DynamicGraph replica = graph.ToDynamic();
+    for (const GraphUpdate& update : stream) ApplyUpdate(&replica, update);
+    for (const int shards : {2, 4}) {
+      for (const PartitionStrategy strategy :
+           {PartitionStrategy::kHash, PartitionStrategy::kLocality}) {
+        const std::string where = "seed " + std::to_string(seed) + " S=" +
+                                  std::to_string(shards) + " " +
+                                  PartitionStrategyName(strategy);
+        auto fine = ReplayInChunks(graph, stream, Opts(shards, strategy), 7, 1);
+        auto coarse =
+            ReplayInChunks(graph, stream, Opts(shards, strategy), 100, 1);
+        ASSERT_NE(fine, nullptr) << where;
+        ASSERT_NE(coarse, nullptr) << where;
+        const std::vector<VertexId> solution = fine->Solution();
+        EXPECT_EQ(solution, coarse->Solution()) << where;
+        EXPECT_TRUE(IsMaximalIndependentSet(replica, solution)) << where;
+        // The churn produced cut conflicts, so the repair really ran.
+        EXPECT_GT(fine->ShardStats().conflicts, 0) << where;
+      }
+    }
+  }
 }
 
 // S=1 is the degenerate case: every edge is intra-shard and the single
@@ -396,110 +441,51 @@ EdgeListGraph ClusteredGraph(int clusters, int cluster_size,
   return g;
 }
 
-// The asynchronous resolver's inbox drains at every barrier: after Flush()
-// the backlog is zero, the worker has consumed the shards' transition
-// streams, and the conflicts those streams produced were repaired before
-// Solution() returned (the solution is maximal-independent globally).
-TEST(ShardedEngineTest, AsyncResolverDrainsBacklogBeforeBarrier) {
-  const EdgeListGraph base = SmallGraph(47);
-  const std::vector<GraphUpdate> trace = ChurnTrace(base, 600, 53);
+// The maintained solution stays maximal-independent at S=4, and at S=1
+// (no cut edges, so the resolver never repairs anything) it reproduces the
+// single engine's solution bit-for-bit.
+TEST(ShardedEngineTest, MaximalAtFourShardsAndSingleEngineAtOne) {
+  const EdgeListGraph base = SmallGraph(59);
+  const std::vector<GraphUpdate> trace = ChurnTrace(base, 400, 61);
 
   auto engine = ShardedMisEngine::Create(base, {"DyTwoSwap"}, Opts(4));
   ASSERT_NE(engine, nullptr);
   engine->Initialize();
-  EXPECT_TRUE(engine->resolver().worker_running());
-
   DynamicGraph replica = base.ToDynamic();
-  // Route the whole stream without a single intermediate barrier, so the
-  // resolver worker really is consuming transitions concurrently with the
-  // shards (conflicts are injected mid-stream, not at a quiescent point).
   for (const GraphUpdate& update : trace) {
     engine->Apply(update);
     ApplyUpdate(&replica, update);
   }
-  engine->Flush();
-  EXPECT_EQ(engine->resolver().BacklogOps(), 0);
-  EXPECT_GT(engine->resolver().TransitionsConsumed(), 0);
-
   EXPECT_TRUE(IsMaximalIndependentSet(replica, engine->Solution()));
-  const ShardedStats stats = engine->ShardStats();
-  EXPECT_TRUE(stats.async_resolver);
-  EXPECT_EQ(stats.resolver_backlog, 0);
-  EXPECT_GT(stats.transitions_consumed, 0);
-  // The churn actually produced cut conflicts (otherwise this test proves
-  // nothing about the repair path).
-  EXPECT_GT(stats.conflicts, 0);
+
+  auto one_shard = ShardedMisEngine::Create(base, {"DyTwoSwap"}, Opts(1));
+  ASSERT_NE(one_shard, nullptr);
+  one_shard->Initialize();
+  auto single = MisEngine::Create(base, {"DyTwoSwap"});
+  ASSERT_NE(single, nullptr);
+  single->Initialize();
+  for (const GraphUpdate& update : trace) {
+    one_shard->Apply(update);
+    single->Apply(update);
+  }
+  std::vector<VertexId> expected = single->Solution();
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(one_shard->Solution(), expected);
 }
 
-// Both resolver modes maintain the verified-maximal invariant on the same
-// trace, and at S=1 (no cut edges, so the resolver never repairs anything)
-// they reproduce the single engine's solution bit-for-bit.
-TEST(ShardedEngineTest, SequentialResolverFallbackMatchesInvariants) {
-  const EdgeListGraph base = SmallGraph(59);
-  const std::vector<GraphUpdate> trace = ChurnTrace(base, 400, 61);
-
-  for (const bool async : {false, true}) {
-    ShardedEngineOptions options = Opts(4);
-    options.async_resolver = async;
-    auto engine = ShardedMisEngine::Create(base, {"DyTwoSwap"}, options);
-    ASSERT_NE(engine, nullptr);
-    engine->Initialize();
-    DynamicGraph replica = base.ToDynamic();
-    for (const GraphUpdate& update : trace) {
-      engine->Apply(update);
-      ApplyUpdate(&replica, update);
-    }
-    EXPECT_TRUE(IsMaximalIndependentSet(replica, engine->Solution()))
-        << (async ? "async" : "sequential");
-    EXPECT_EQ(engine->ShardStats().async_resolver, async);
-  }
-
-  std::vector<VertexId> solutions[2];
-  for (const bool async : {false, true}) {
-    ShardedEngineOptions options = Opts(1);
-    options.async_resolver = async;
-    auto engine = ShardedMisEngine::Create(base, {"DyTwoSwap"}, options);
-    ASSERT_NE(engine, nullptr);
-    engine->Initialize();
-    for (const GraphUpdate& update : trace) engine->Apply(update);
-    solutions[async ? 1 : 0] = engine->Solution();
-  }
-  EXPECT_EQ(solutions[0], solutions[1]);
-}
-
-// Replay determinism extends to the locality plan under the asynchronous
-// resolver: block size, batch chopping, and mid-stream barriers must not
-// change the final solution (the plan assigns ids in stream order, which
-// is identical across runs).
-TEST(ShardedEngineTest, LocalityPlanDeterministicReplayWithAsyncResolver) {
+// Replay determinism extends to the locality plan: block size, batch
+// chopping, and mid-stream barriers must not change the final solution
+// (the plan assigns ids in stream order, which is identical across runs).
+TEST(ShardedEngineTest, LocalityPlanDeterministicReplay) {
   const EdgeListGraph base = SmallGraph(67);
   const std::vector<GraphUpdate> trace = ChurnTrace(base, 500, 71);
+  const ShardedEngineOptions options = Opts(3, PartitionStrategy::kLocality);
 
-  auto run = [&](int block_ops, int chunk, int query_every) {
-    ShardedEngineOptions options = Opts(3, PartitionStrategy::kLocality);
-    options.block_ops = block_ops;
-    auto engine = ShardedMisEngine::Create(base, {"DyTwoSwap"}, options);
-    EXPECT_NE(engine, nullptr);
-    engine->Initialize();
-    size_t i = 0;
-    int since_query = 0;
-    while (i < trace.size()) {
-      const size_t end = std::min(trace.size(), i + chunk);
-      engine->ApplyBatch(
-          {trace.begin() + static_cast<long>(i),
-           trace.begin() + static_cast<long>(end)});
-      i = end;
-      if (query_every > 0 && ++since_query >= query_every) {
-        since_query = 0;
-        engine->SolutionSize();
-      }
-    }
-    return engine->Solution();
-  };
-
-  const std::vector<VertexId> a = run(1024, 97, 0);
-  const std::vector<VertexId> b = run(7, 1, 3);
-  const std::vector<VertexId> c = run(256, 500, 1);
+  const std::vector<VertexId> a =
+      ReplaySolution(base, trace, options, 1024, 97, 0);
+  const std::vector<VertexId> b = ReplaySolution(base, trace, options, 7, 1, 3);
+  const std::vector<VertexId> c =
+      ReplaySolution(base, trace, options, 256, 500, 1);
   EXPECT_EQ(a, b);
   EXPECT_EQ(a, c);
 }
@@ -613,10 +599,9 @@ void FoldFnv(uint64_t* h, int64_t value) {
 BarrierTrail RunBarrierTrail(const EdgeListGraph& base,
                              const std::vector<GraphUpdate>& trace,
                              int shards, PartitionStrategy strategy,
-                             bool async, size_t barrier_every) {
-  ShardedEngineOptions options = Opts(shards, strategy);
-  options.async_resolver = async;
-  auto engine = ShardedMisEngine::Create(base, {"DyTwoSwap"}, options);
+                             size_t barrier_every) {
+  auto engine =
+      ShardedMisEngine::Create(base, {"DyTwoSwap"}, Opts(shards, strategy));
   EXPECT_NE(engine, nullptr);
   if (engine == nullptr) return {};
   engine->Initialize();
@@ -634,7 +619,6 @@ BarrierTrail RunBarrierTrail(const EdgeListGraph& base,
     digest();
   }
   const ShardedStats stats = engine->ShardStats();
-  EXPECT_EQ(stats.async_resolver, async);
   trail.barriers = stats.barriers;
   trail.conflicts = stats.conflicts;
   trail.evictions = stats.evictions;
@@ -644,13 +628,12 @@ BarrierTrail RunBarrierTrail(const EdgeListGraph& base,
 }
 
 // Golden barrier output: per-barrier solution digests and repair counters,
-// pinned across S in {2, 4} x {hash, locality} x {async, sequential}. Two
-// extra graphs pin both polish pools of the async pass: a clustered graph
-// under the range plan, whose every barrier repairs locally (the
-// restricted pool), and a larger random graph with coarse barriers, whose
-// every barrier trips `widespread_repair` (the full pool). The values were
-// recorded on the unpruned repair; a faster repair must leave every one of
-// them untouched (changes to the maintainer or the generators move them
+// pinned across S in {2, 4} x {hash, locality}, plus two extra graphs: a
+// clustered graph under the range plan, whose every barrier repairs
+// locally, and a larger random graph with coarse barriers, whose every
+// barrier repairs a large share of the graph. The values were recorded on
+// the unpruned repair; a faster repair must leave every one of them
+// untouched (changes to the maintainer or the generators move them
 // legitimately).
 TEST(ShardedEngineTest, BarrierRepairMatchesGoldenTrail) {
   const EdgeListGraph small = SmallGraph(97);
@@ -666,7 +649,6 @@ TEST(ShardedEngineTest, BarrierRepairMatchesGoldenTrail) {
     const std::vector<GraphUpdate>& trace;
     int shards;
     PartitionStrategy strategy;
-    bool async;
     size_t barrier_every;
     BarrierTrail expected;
   };
@@ -674,60 +656,23 @@ TEST(ShardedEngineTest, BarrierRepairMatchesGoldenTrail) {
   constexpr PartitionStrategy kLocality = PartitionStrategy::kLocality;
   constexpr PartitionStrategy kRange = PartitionStrategy::kRange;
   const Case cases[] = {
-      {"s2-hash-async", small, small_trace, 2, kHash, true, 50,
+      {"s2-hash", small, small_trace, 2, kHash, 50,
        {0x92e5829dbf7826fbull, 13, 1024, 477, 56, 46}},
-      {"s2-hash-seq", small, small_trace, 2, kHash, false, 50,
-       {0x92e5829dbf7826fbull, 13, 1024, 477, 56, 46}},
-      {"s2-locality-async", small, small_trace, 2, kLocality, true, 50,
+      {"s2-locality", small, small_trace, 2, kLocality, 50,
        {0x2853b3d527c0f1c2ull, 13, 686, 363, 54, 41}},
-      {"s2-locality-seq", small, small_trace, 2, kLocality, false, 50,
-       {0x2853b3d527c0f1c2ull, 13, 686, 363, 54, 41}},
-      {"s4-hash-async", small, small_trace, 4, kHash, true, 50,
+      {"s4-hash", small, small_trace, 4, kHash, 50,
        {0xcab93d4ecc98e3a2ull, 13, 2476, 830, 77, 59}},
-      {"s4-hash-seq", small, small_trace, 4, kHash, false, 50,
-       {0xcab93d4ecc98e3a2ull, 13, 2476, 830, 77, 59}},
-      {"s4-locality-async", small, small_trace, 4, kLocality, true, 50,
+      {"s4-locality", small, small_trace, 4, kLocality, 50,
        {0xf07a38b324f66a41ull, 13, 1263, 574, 77, 64}},
-      {"s4-locality-seq", small, small_trace, 4, kLocality, false, 50,
-       {0xf07a38b324f66a41ull, 13, 1263, 574, 77, 64}},
-      {"local-repair-async", clustered, clustered_trace, 4, kRange, true, 10,
+      {"local-repair", clustered, clustered_trace, 4, kRange, 10,
        {0x7be4c38c028629a9ull, 41, 2269, 1367, 137, 290}},
-      {"local-repair-seq", clustered, clustered_trace, 4, kRange, false, 10,
-       {0x7be4c38c028629a9ull, 41, 2269, 1367, 137, 290}},
-      {"widespread-repair", large, large_trace, 4, kHash, true, 400,
+      {"widespread-repair", large, large_trace, 4, kHash, 400,
        {0xcca0331fdb150b2cull, 3, 8720, 3005, 295, 216}},
   };
   for (const Case& c : cases) {
-    const BarrierTrail trail = RunBarrierTrail(
-        c.base, c.trace, c.shards, c.strategy, c.async, c.barrier_every);
+    const BarrierTrail trail = RunBarrierTrail(c.base, c.trace, c.shards,
+                                               c.strategy, c.barrier_every);
     EXPECT_EQ(trail, c.expected) << c.name;
-  }
-}
-
-// The two resolver modes are interchangeable at every shard count: the
-// async pass's restricted polish pool and the sequential pass's full pool
-// reach the same solution with the same repair counters, barrier after
-// barrier, across seeds, plans and barrier cadences.
-TEST(ShardedEngineTest, AsyncResolverMatchesSequentialAcrossShardCounts) {
-  for (const uint64_t seed : {131, 137, 139, 149}) {
-    const EdgeListGraph base = SmallGraph(seed, 300, 900);
-    const std::vector<GraphUpdate> trace = ChurnTrace(base, 500, seed + 1);
-    for (const int shards : {2, 4}) {
-      for (const PartitionStrategy strategy :
-           {PartitionStrategy::kHash, PartitionStrategy::kLocality}) {
-        for (const size_t barrier_every : {7, 100}) {
-          const BarrierTrail async = RunBarrierTrail(
-              base, trace, shards, strategy, true, barrier_every);
-          const BarrierTrail sequential = RunBarrierTrail(
-              base, trace, shards, strategy, false, barrier_every);
-          EXPECT_EQ(async, sequential)
-              << "seed " << seed << " S=" << shards << " "
-              << PartitionStrategyName(strategy) << " every "
-              << barrier_every;
-          EXPECT_GT(async.conflicts, 0);
-        }
-      }
-    }
   }
 }
 

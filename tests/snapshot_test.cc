@@ -669,6 +669,87 @@ Sharded4 shard3/mis 4414 25649e79
 )");
 }
 
+// Re-encodes a sharded snapshot with the reserved byte of its "sharded"
+// section set to `reserved`. Every other byte is copied verbatim, section
+// by section in file order, and the writer recomputes every CRC.
+std::string WithShardedReservedByte(const std::string& blob,
+                                    uint8_t reserved) {
+  std::istringstream in(blob);
+  SnapshotReader reader;
+  EXPECT_TRUE(reader.ReadFrom(in).ok);
+  SnapshotWriter writer;
+  for (const std::string& name : reader.SectionNames()) {
+    EXPECT_TRUE(reader.OpenSection(name)) << name;
+    writer.BeginSection(name);
+    if (name == "sharded") {
+      writer.PutString(reader.GetString());  // Algorithm.
+      writer.PutString(reader.GetString());  // Display name.
+      writer.PutI32(reader.GetI32());        // k.
+      writer.PutU8(reader.GetU8());          // lazy.
+      writer.PutU8(reader.GetU8());          // perturb.
+      writer.PutI32(reader.GetI32());        // recompute_every.
+      writer.PutI32(reader.GetI32());        // Shard count.
+      writer.PutU8(reader.GetU8());          // Partition strategy.
+      writer.PutI32(reader.GetI32());        // Range block size.
+      writer.PutI32(reader.GetI32());        // block_ops.
+      EXPECT_EQ(reader.GetU8(), 1);          // The reserved byte.
+      writer.PutU8(reserved);
+    }
+    while (!reader.AtSectionEnd()) writer.PutU8(reader.GetU8());
+    writer.EndSection();
+  }
+  EXPECT_TRUE(reader.ok()) << reader.error();
+  std::ostringstream out;
+  EXPECT_TRUE(writer.WriteTo(out).ok);
+  return std::move(out).str();
+}
+
+// The byte after block_ops in the "sharded" section is reserved. It once
+// held a resolver-mode flag: 1 by default, 0 for engines that opted out of
+// the asynchronous resolver. Both values still load and resume the same
+// churn trace to the same solution (the flag never changed the output);
+// anything larger is rejected as corruption.
+TEST(SnapshotTest, ShardedReservedByteAcceptsBothLegacyValues) {
+  Rng rng(2024);
+  const EdgeListGraph base = ErdosRenyiGnm(60, 150, &rng);
+  int recycled = 0;
+  const std::vector<GraphUpdate> trace = GoldenTrace(base, &recycled);
+  constexpr size_t kPrefix = 250;
+  ShardedEngineOptions options;
+  options.num_shards = 4;
+  auto engine = ShardedMisEngine::Create(base, {"DyTwoSwap"}, options);
+  ASSERT_NE(engine, nullptr);
+  engine->Initialize();
+  for (size_t i = 0; i < kPrefix; ++i) engine->Apply(trace[i]);
+  std::ostringstream out;
+  ASSERT_TRUE(engine->SaveSnapshot(out).ok);
+  const std::string original = std::move(out).str();
+  // The re-encoder is faithful: with the byte unchanged it reproduces the
+  // file exactly.
+  ASSERT_EQ(WithShardedReservedByte(original, 1), original);
+
+  auto resume = [&](const std::string& blob) {
+    std::istringstream in(blob);
+    SnapshotStatus status;
+    auto restored = ShardedMisEngine::LoadSnapshot(in, &status);
+    EXPECT_NE(restored, nullptr) << status.message;
+    if (restored == nullptr) return std::vector<VertexId>{};
+    for (size_t i = kPrefix; i < trace.size(); ++i) restored->Apply(trace[i]);
+    return restored->Solution();
+  };
+  for (size_t i = kPrefix; i < trace.size(); ++i) engine->Apply(trace[i]);
+  const std::vector<VertexId> expected = engine->Solution();
+  EXPECT_EQ(resume(original), expected);
+  EXPECT_EQ(resume(WithShardedReservedByte(original, 0)), expected);
+
+  std::istringstream bad(WithShardedReservedByte(original, 2));
+  SnapshotStatus status;
+  EXPECT_EQ(ShardedMisEngine::LoadSnapshot(bad, &status), nullptr);
+  EXPECT_FALSE(status.ok);
+  EXPECT_NE(status.message.find("out of range"), std::string::npos)
+      << status.message;
+}
+
 // The SNAPSHOT verb publishes through io::WriteFileAtomic (tmp + fsync +
 // rename). A crash between the tmp write and its rename — scripted here
 // with faultfs's `torn` mode — must leave the previously published
