@@ -144,6 +144,13 @@ class MisEngine {
   static std::unique_ptr<MisEngine> LoadSnapshot(
       std::istream& in, SnapshotStatus* status = nullptr);
 
+  // The same over a container already read (and CRC-verified) into
+  // `reader`, so a caller that probes sections first — the serving layer's
+  // restore looks for "keymap" and "sharded" — reads the bytes once. The
+  // stream form is ReadFrom plus this call.
+  static std::unique_ptr<MisEngine> LoadSnapshot(
+      SnapshotReader* reader, SnapshotStatus* status = nullptr);
+
   // Decodes the "engine" section of an already-parsed snapshot (the
   // reader's cursor is repositioned). Returns false, failing the reader,
   // on malformed contents. LoadSnapshot and `dynmis_cli snapshot info`

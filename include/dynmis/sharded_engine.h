@@ -168,6 +168,9 @@ class ShardedMisEngine {
   // plan says is cut, ...). Never aborts on malformed input.
   static std::unique_ptr<ShardedMisEngine> LoadSnapshot(
       std::istream& in, SnapshotStatus* status = nullptr);
+  // The same over an already-read container (see MisEngine::LoadSnapshot).
+  static std::unique_ptr<ShardedMisEngine> LoadSnapshot(
+      SnapshotReader* reader, SnapshotStatus* status = nullptr);
 
   const MaintainerConfig& config() const { return config_; }
   const ShardedEngineOptions& options() const { return options_; }

@@ -389,26 +389,63 @@ bool MisState::LoadFrom(SnapshotReader* r) {
   if (k != k_ || lazy != lazy_) {
     return fail("maintainer parameters (k / lazy) do not match the snapshot");
   }
+  // Every array decodes straight into the member the constructor already
+  // sized for this graph, so the copy lands on faulted-in pages and no
+  // second set of arrays is allocated. On failure the state is unusable.
   const size_t vcap = static_cast<size_t>(g_->VertexCapacity());
   const size_t link_cap = 2 * static_cast<size_t>(g_->EdgeCapacity());
-  std::vector<uint8_t> status;
-  std::vector<int32_t> count;
-  if (!r->GetU8Array(&status) || !r->GetI32Array(&count)) return false;
-  if (status.size() != vcap || count.size() != vcap) {
+  if (!r->GetU8Array(&status_) || !r->GetI32Array(&count_)) return false;
+  if (status_.size() != vcap || count_.size() != vcap) {
     return fail("per-vertex array sizes do not match the graph");
   }
   int64_t counted = 0;
   for (size_t v = 0; v < vcap; ++v) {
-    if (status[v] > 1) return fail("status value out of range");
-    if (status[v] != 0) {
+    if (status_[v] > 1) return fail("status value out of range");
+    if (status_[v] != 0) {
       if (!g_->IsVertexAlive(static_cast<VertexId>(v))) {
         return fail("dead vertex marked in solution");
       }
       ++counted;
     }
-    if (count[v] < 0) return fail("negative solution-neighbour count");
+    if (count_[v] < 0) return fail("negative solution-neighbour count");
   }
   if (counted != solution_size) return fail("solution size mismatch");
+
+  // Independence and count correctness against the restored topology:
+  // status/count are trusted by every update handler (MoveIn aborts on a
+  // violated precondition), so a CRC-valid but semantically corrupt
+  // section must be rejected here, not discovered mid-update. The graph is
+  // already validated (simple, every alive edge in both endpoints' lists),
+  // so one pass over the edge records counts each vertex's solution
+  // neighbours without walking any adjacency chain. O(n + m).
+  std::vector<int32_t> solution_neighbors(vcap, 0);
+  for (EdgeId e = 0; e < g_->EdgeCapacity(); ++e) {
+    if (!g_->IsEdgeAlive(e)) continue;
+    const auto [a, b] = g_->Endpoints(e);
+    if (status_[a] != 0 && status_[b] != 0) {
+      return fail("solution is not independent");
+    }
+    solution_neighbors[a] += status_[b];
+    solution_neighbors[b] += status_[a];
+  }
+  for (size_t v = 0; v < vcap; ++v) {
+    if (!g_->IsVertexAlive(static_cast<VertexId>(v))) continue;
+    if (status_[v] != 0) {
+      if (count_[v] != 0) return fail("solution vertex with nonzero count");
+    } else if (count_[v] != solution_neighbors[v]) {
+      return fail("count does not match solution neighbourhood");
+    } else if (solution_neighbors[v] == 0) {
+      // Every maintainer keeps its solution maximal at quiescent points; an
+      // uncovered vertex would never be repaired after load (updates only
+      // react to changes) and hard-aborts a later CheckConsistency.
+      return fail("solution is not maximal");
+    }
+  }
+  solution_size_ = solution_size;
+  transitions_.clear();
+  if (lazy_) {
+    return r->AtSectionEnd() || fail("trailing bytes after the last field");
+  }
 
   auto load_heads = [&](std::vector<int32_t>* out, bool edge_ids) {
     if (!r->GetI32Array(out)) return false;
@@ -432,167 +469,118 @@ bool MisState::LoadFrom(SnapshotReader* r) {
     }
     return true;
   };
-
-  // Independence and count correctness against the restored topology:
-  // status/count are trusted by every update handler (MoveIn aborts on a
-  // violated precondition), so a CRC-valid but semantically corrupt
-  // section must be rejected here, not discovered mid-update. O(n + m).
-  for (size_t v = 0; v < vcap; ++v) {
-    if (!g_->IsVertexAlive(static_cast<VertexId>(v))) continue;
-    int solution_neighbors = 0;
-    g_->ForEachIncident(static_cast<VertexId>(v), [&](VertexId u, EdgeId) {
-      if (status[u]) ++solution_neighbors;
-    });
-    if (status[v] != 0) {
-      if (solution_neighbors != 0) return fail("solution is not independent");
-      if (count[v] != 0) return fail("solution vertex with nonzero count");
-    } else if (count[v] != solution_neighbors) {
-      return fail("count does not match solution neighbourhood");
-    } else if (solution_neighbors == 0) {
-      // Every maintainer keeps its solution maximal at quiescent points; an
-      // uncovered vertex would never be repaired after load (updates only
-      // react to changes) and hard-aborts a later CheckConsistency.
-      return fail("solution is not maximal");
-    }
+  if (!load_heads(&inb_head_, true) || !load_heads(&bar1_head_, true) ||
+      !load_heads(&bar1_size_, false) || !load_heads(&bar1_edge_, true) ||
+      !load_links(&inb_links_) || !load_links(&bar1_links_)) {
+    return false;
   }
-  if (lazy_ && !r->AtSectionEnd()) {
-    return fail("trailing bytes after the last field");
+  for (int32_t size : bar1_size_) {
+    if (size < 0) return fail("negative bar1 size");
   }
-
-  if (!lazy_) {
-    std::vector<int32_t> inb_head, bar1_head, bar1_size, bar1_edge;
-    std::vector<LinkPair> inb_links, bar1_links;
-    if (!load_heads(&inb_head, true) || !load_heads(&bar1_head, true) ||
-        !load_heads(&bar1_size, false) || !load_heads(&bar1_edge, true) ||
-        !load_links(&inb_links) || !load_links(&bar1_links)) {
+  if (k_ >= 2) {
+    if (!load_heads(&bar2_head_, true) || !load_heads(&bar2_edge0_, true) ||
+        !load_heads(&bar2_edge1_, true) || !load_links(&bar2_links_)) {
       return false;
     }
-    for (int32_t size : bar1_size) {
-      if (size < 0) return fail("negative bar1 size");
-    }
-    std::vector<int32_t> bar2_head, bar2_edge0, bar2_edge1;
-    std::vector<LinkPair> bar2_links;
-    if (k_ >= 2) {
-      if (!load_heads(&bar2_head, true) || !load_heads(&bar2_edge0, true) ||
-          !load_heads(&bar2_edge1, true) || !load_links(&bar2_links)) {
-        return false;
-      }
-    }
+  }
 
-    // Structural validation of the intrusive lists: every chain must be a
-    // terminating, non-cyclic walk over alive incident edges whose members
-    // carry matching tightness counts and membership records. Slot-visit
-    // maps bound every walk (a crafted cycle fails, it cannot loop), and
-    // the membership cross-check at the end guarantees ClearTightness will
-    // only ever unlink edges that really are linked. O(n + m).
-    // One shared slot map covers all three link arrays: a slot on a
-    // solution vertex's side carries at most one bar1/bar2 linkage, and a
-    // slot on a non-solution side at most one I(v) linkage.
-    std::vector<uint8_t> slot_seen(link_cap, 0);
-    std::vector<uint8_t> listed1(vcap, 0), listed20(vcap, 0),
-        listed21(vcap, 0);
-    auto walk = [&](EdgeId head, VertexId owner,
-                    const std::vector<LinkPair>& links, int max_steps,
-                    auto&& member_check) {
-      int steps = 0;
-      for (EdgeId e = head; e != kInvalidEdge;) {
-        if (!g_->IsEdgeAlive(e)) return -1;
-        const auto [a, b] = g_->Endpoints(e);
-        if (a != owner && b != owner) return -1;
-        const int slot = Slot(e, owner);
-        if (slot_seen[slot]) return -1;  // Cycle or cross-linked chain.
-        slot_seen[slot] = 1;
-        if (++steps > max_steps) return -1;
-        if (!member_check(g_->Other(e, owner), e)) return -1;
-        e = links[slot].next;
-      }
-      return steps;
-    };
-    const int32_t vcap_i = static_cast<int32_t>(vcap);
-    for (VertexId v = 0; v < vcap_i; ++v) {
-      if (!g_->IsVertexAlive(v)) continue;
-      if (status[v] != 0) {
-        if (inb_head[v] != kInvalidEdge) {
-          return fail("solution vertex with a nonempty I(v) list");
-        }
-        const int steps =
-            walk(bar1_head[v], v, bar1_links, g_->Degree(v),
-                 [&](VertexId u, EdgeId e) {
-                   if (status[u] != 0 || count[u] != 1) return false;
-                   if (bar1_edge[u] != e || listed1[u]) return false;
-                   listed1[u] = 1;
-                   return true;
-                 });
-        if (steps < 0 || steps != bar1_size[v]) {
-          return fail("bar1 list structure invalid");
-        }
-        if (k_ >= 2) {
-          const int steps2 =
-              walk(bar2_head[v], v, bar2_links, g_->Degree(v),
-                   [&](VertexId u, EdgeId e) {
-                     if (status[u] != 0 || count[u] != 2) return false;
-                     if (bar2_edge0[u] == e && !listed20[u]) {
-                       listed20[u] = 1;
-                     } else if (bar2_edge1[u] == e && !listed21[u]) {
-                       listed21[u] = 1;
-                     } else {
-                       return false;
-                     }
-                     return true;
-                   });
-          if (steps2 < 0) return fail("bar2 list structure invalid");
-        }
-      } else {
-        const int steps = walk(inb_head[v], v, inb_links, count[v],
-                               [&](VertexId u, EdgeId) {
-                                 return status[u] != 0;
-                               });
-        if (steps != count[v]) return fail("I(v) list structure invalid");
-      }
+  // Structural validation of the intrusive lists: every chain must be a
+  // terminating walk over alive incident edges whose back-links mirror the
+  // forward traversal (Unlink trusts them) and whose members carry
+  // matching tightness counts and membership records. The back-link check
+  // also rejects every revisit, so no walk can loop: at the first repeated
+  // slot, its back-link would have to name both its first predecessor (or
+  // no edge, at the head) and its second one, which is then an earlier
+  // repeat. The membership cross-check at the end guarantees
+  // ClearTightness will only ever unlink edges that really are linked.
+  // O(n + m).
+  std::vector<uint8_t> listed1(vcap, 0), listed20(vcap, 0), listed21(vcap, 0);
+  auto walk = [&](EdgeId head, VertexId owner,
+                  const std::vector<LinkPair>& links, int max_steps,
+                  auto&& member_check) {
+    int steps = 0;
+    EdgeId prev = kInvalidEdge;
+    for (EdgeId e = head; e != kInvalidEdge;) {
+      if (!g_->IsEdgeAlive(e)) return -1;
+      const auto [a, b] = g_->Endpoints(e);
+      if (a != owner && b != owner) return -1;
+      const int slot = Slot(e, owner);
+      if (links[slot].prev != prev) return -1;
+      if (++steps > max_steps) return -1;
+      if (!member_check(g_->Other(e, owner), e)) return -1;
+      prev = e;
+      e = links[slot].next;
     }
-    // Membership records must mirror the walked lists exactly, in both
-    // directions: no dangling record (unlink would corrupt a head), no
-    // unrecorded member (the member could be linked twice later).
-    for (VertexId v = 0; v < vcap_i; ++v) {
-      if (!g_->IsVertexAlive(v) || status[v] != 0) continue;
-      if ((bar1_edge[v] != kInvalidEdge) != (listed1[v] != 0)) {
-        return fail("bar1 membership record mismatch");
+    return steps;
+  };
+  const int32_t vcap_i = static_cast<int32_t>(vcap);
+  for (VertexId v = 0; v < vcap_i; ++v) {
+    if (!g_->IsVertexAlive(v)) continue;
+    if (status_[v] != 0) {
+      if (inb_head_[v] != kInvalidEdge) {
+        return fail("solution vertex with a nonempty I(v) list");
       }
-      // Completeness: the tightness lists must cover every tracked-count
-      // vertex (bar1(v) = all count-1 neighbours, bar2 both-sided), or the
-      // restored maintainer would silently skip swap opportunities that
-      // CheckConsistency later flags as corruption.
-      if (count[v] == 1 && !listed1[v]) {
-        return fail("count-1 vertex missing from its owner's bar1 list");
+      const int steps =
+          walk(bar1_head_[v], v, bar1_links_, g_->Degree(v),
+               [&](VertexId u, EdgeId e) {
+                 if (status_[u] != 0 || count_[u] != 1) return false;
+                 if (bar1_edge_[u] != e || listed1[u]) return false;
+                 listed1[u] = 1;
+                 return true;
+               });
+      if (steps < 0 || steps != bar1_size_[v]) {
+        return fail("bar1 list structure invalid");
       }
       if (k_ >= 2) {
-        if ((bar2_edge0[v] != kInvalidEdge) != (listed20[v] != 0) ||
-            (bar2_edge1[v] != kInvalidEdge) != (listed21[v] != 0)) {
-          return fail("bar2 membership record mismatch");
-        }
-        if (count[v] == 2 && (!listed20[v] || !listed21[v])) {
-          return fail("count-2 vertex missing from its bar2 lists");
-        }
+        const int steps2 =
+            walk(bar2_head_[v], v, bar2_links_, g_->Degree(v),
+                 [&](VertexId u, EdgeId e) {
+                   if (status_[u] != 0 || count_[u] != 2) return false;
+                   if (bar2_edge0_[u] == e && !listed20[u]) {
+                     listed20[u] = 1;
+                   } else if (bar2_edge1_[u] == e && !listed21[u]) {
+                     listed21[u] = 1;
+                   } else {
+                     return false;
+                   }
+                   return true;
+                 });
+        if (steps2 < 0) return fail("bar2 list structure invalid");
+      }
+    } else {
+      const int steps = walk(inb_head_[v], v, inb_links_, count_[v],
+                             [&](VertexId u, EdgeId) {
+                               return status_[u] != 0;
+                             });
+      if (steps != count_[v]) return fail("I(v) list structure invalid");
+    }
+  }
+  // Membership records must mirror the walked lists exactly, in both
+  // directions: no dangling record (unlink would corrupt a head), no
+  // unrecorded member (the member could be linked twice later).
+  for (VertexId v = 0; v < vcap_i; ++v) {
+    if (!g_->IsVertexAlive(v) || status_[v] != 0) continue;
+    if ((bar1_edge_[v] != kInvalidEdge) != (listed1[v] != 0)) {
+      return fail("bar1 membership record mismatch");
+    }
+    // Completeness: the tightness lists must cover every tracked-count
+    // vertex (bar1(v) = all count-1 neighbours, bar2 both-sided), or the
+    // restored maintainer would silently skip swap opportunities that
+    // CheckConsistency later flags as corruption.
+    if (count_[v] == 1 && !listed1[v]) {
+      return fail("count-1 vertex missing from its owner's bar1 list");
+    }
+    if (k_ >= 2) {
+      if ((bar2_edge0_[v] != kInvalidEdge) != (listed20[v] != 0) ||
+          (bar2_edge1_[v] != kInvalidEdge) != (listed21[v] != 0)) {
+        return fail("bar2 membership record mismatch");
+      }
+      if (count_[v] == 2 && (!listed20[v] || !listed21[v])) {
+        return fail("count-2 vertex missing from its bar2 lists");
       }
     }
-    if (!r->AtSectionEnd()) return fail("trailing bytes after the last field");
-
-    inb_head_ = std::move(inb_head);
-    bar1_head_ = std::move(bar1_head);
-    bar1_size_ = std::move(bar1_size);
-    bar1_edge_ = std::move(bar1_edge);
-    inb_links_ = std::move(inb_links);
-    bar1_links_ = std::move(bar1_links);
-    bar2_head_ = std::move(bar2_head);
-    bar2_edge0_ = std::move(bar2_edge0);
-    bar2_edge1_ = std::move(bar2_edge1);
-    bar2_links_ = std::move(bar2_links);
   }
-  status_ = std::move(status);
-  count_ = std::move(count);
-  solution_size_ = solution_size;
-  transitions_.clear();
-  return true;
+  return r->AtSectionEnd() || fail("trailing bytes after the last field");
 }
 
 size_t MisState::MemoryUsageBytes() const {

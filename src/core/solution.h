@@ -159,15 +159,18 @@ class MisState {
   void SaveTo(SnapshotWriter* w) const;
 
   // Restores the state from the section "mis". The graph must already hold
-  // the snapshot's topology. Runs a full O(n + m) validation before any
-  // data is adopted: parameter match (k, lazy), array sizes and id bounds,
-  // independence and count correctness against the graph, and — in eager
-  // mode — termination, exclusivity and membership-record consistency of
-  // every intrusive list, so a CRC-valid but semantically corrupt payload
-  // is rejected with a structured error instead of aborting (or looping) in
-  // a later update. Returns false (failing the reader) on any violation.
-  // Performs no MoveIn/MoveOut and no rebuild — load is O(state), which
-  // status_ops() lets callers verify.
+  // the snapshot's (validated) topology, and this state must have been
+  // constructed over it: the arrays decode straight into the storage the
+  // constructor sized. Runs a full O(n + m) validation: parameter match
+  // (k, lazy), array sizes and id bounds, independence and count
+  // correctness against the graph (one pass over the edge records), and —
+  // in eager mode — termination, back-link and membership-record
+  // consistency of every intrusive list, so a CRC-valid but semantically
+  // corrupt payload is rejected with a structured error instead of
+  // aborting (or looping) in a later update. Returns false (failing the
+  // reader) on any violation; the state is then unusable and must be
+  // discarded. Performs no MoveIn/MoveOut and no rebuild — load is
+  // O(state), which status_ops() lets callers verify.
   bool LoadFrom(SnapshotReader* r);
 
   // --- Introspection ---------------------------------------------------------

@@ -344,13 +344,18 @@ bool DynamicGraph::LoadFrom(SnapshotReader* r) {
 
   // --- Validation pass 3: adjacency lists are proper doubly-linked chains. --
   // Walk every alive vertex's list for exactly degree steps, checking that
-  // each visited edge is alive and incident, that back-links mirror the
-  // forward traversal, and that no edge side is visited twice. Together with
-  // degree_sum == 2m this proves each alive edge sits in exactly its two
-  // endpoints' lists and that no chain is cyclic or cross-linked. The graph
-  // must also be simple (counts in the algorithm layers are per neighbour,
-  // not per edge): a neighbour stamped twice in one list is a parallel edge.
-  std::vector<uint8_t> side_seen(2 * static_cast<size_t>(ecap), 0);
+  // each visited edge is alive and incident and that back-links mirror the
+  // forward traversal. The back-link check also rules out visiting an edge
+  // side twice: at the first repeat e_j = e_i (i < j), prev would have to
+  // equal both e_{j-1} and e_{i-1} (kInvalidEdge when i = 0), so either a
+  // chain edge is kInvalidEdge or e_{i-1} = e_{j-1} is an earlier repeat.
+  // Together with degree_sum == 2m this proves each alive edge sits in
+  // exactly its two endpoints' lists and that no chain is cyclic or
+  // cross-linked. Only a walk can prove it: a second, closed cycle of edges
+  // that no walk from the head reaches passes every local prev/next check.
+  // The graph must also be simple (counts in the algorithm layers are per
+  // neighbour, not per edge): a neighbour stamped twice in one list is a
+  // parallel edge.
   std::vector<int32_t> stamp(static_cast<size_t>(vcap), kInvalidVertex);
   for (int32_t v = 0; v < vcap; ++v) {
     if (degrees[v] < 0) continue;
@@ -366,8 +371,6 @@ bool DynamicGraph::LoadFrom(SnapshotReader* r) {
         return fail("adjacency chain visits a dead edge");
       }
       const int s = rec.endpoint[0] == v ? 0 : 1;
-      if (side_seen[2 * e + s]) return fail("adjacency chain revisits an edge");
-      side_seen[2 * e + s] = 1;
       if (prev[2 * e + s] != expected_prev) {
         return fail("adjacency back-link mismatch");
       }

@@ -71,7 +71,17 @@ struct SnapshotStatus {
 
 // CRC32 (IEEE 802.3, reflected, polynomial 0xEDB88320) of `size` bytes.
 // `seed` chains incremental computation; pass the previous return value.
+// On x86-64 hosts with PCLMULQDQ and SSE4.1, inputs of 64 bytes or more run
+// their 16-byte blocks through a carry-less-multiply folding kernel and the
+// tail through the slicing-by-8 table loop; everything else runs the table
+// loop alone. Both give the same value for every input.
 uint32_t Crc32(const void* data, size_t size, uint32_t seed = 0);
+
+namespace internal {
+// The slicing-by-8 table loop on its own, whatever the CPU: the reference
+// the tests hold the dispatched Crc32 to.
+uint32_t Crc32Portable(const void* data, size_t size, uint32_t seed = 0);
+}  // namespace internal
 
 // Accumulates named sections, then serializes the container to a stream.
 // Values are appended little-endian through the typed Put* methods (copied)

@@ -542,52 +542,57 @@ bool ShardedMisEngine::ValidateLoaded(SnapshotReader* reader) const {
 
 std::unique_ptr<ShardedMisEngine> ShardedMisEngine::LoadSnapshot(
     std::istream& in, SnapshotStatus* status) {
+  SnapshotReader reader;
+  if (SnapshotStatus read = reader.ReadFrom(in); !read) {
+    if (status != nullptr) *status = read;
+    return nullptr;
+  }
+  return LoadSnapshot(&reader, status);
+}
+
+std::unique_ptr<ShardedMisEngine> ShardedMisEngine::LoadSnapshot(
+    SnapshotReader* reader, SnapshotStatus* status) {
   auto report = [&](const SnapshotStatus& s) {
     if (status != nullptr) *status = s;
   };
   report(SnapshotStatus::Ok());
 
-  SnapshotReader reader;
-  if (SnapshotStatus read = reader.ReadFrom(in); !read) {
-    report(read);
-    return nullptr;
-  }
-  if (!reader.OpenSection("sharded")) {
-    report(reader.status());
+  if (!reader->OpenSection("sharded")) {
+    report(reader->status());
     return nullptr;
   }
   MaintainerConfig config;
-  config.algorithm = reader.GetString();
-  reader.GetString();  // Display name: informational only.
-  config.k = reader.GetI32();
-  config.lazy = reader.GetU8() != 0;
-  config.perturb = reader.GetU8() != 0;
-  config.recompute_every = reader.GetI32();
-  const int num_shards = reader.GetI32();
-  const uint8_t strategy = reader.GetU8();
-  const int block_size = reader.GetI32();
+  config.algorithm = reader->GetString();
+  reader->GetString();  // Display name: informational only.
+  config.k = reader->GetI32();
+  config.lazy = reader->GetU8() != 0;
+  config.perturb = reader->GetU8() != 0;
+  config.recompute_every = reader->GetI32();
+  const int num_shards = reader->GetI32();
+  const uint8_t strategy = reader->GetU8();
+  const int block_size = reader->GetI32();
   ShardedEngineOptions options;
   options.num_shards = num_shards;
-  options.block_ops = reader.GetI32();
-  const uint8_t reserved = reader.GetU8();  // 0 or 1; see SaveTo.
-  const int64_t updates_applied = reader.GetI64();
-  const double update_seconds = reader.GetDouble();
-  const double resolve_seconds = reader.GetDouble();
-  const int64_t barriers = reader.GetI64();
-  const int64_t conflicts = reader.GetI64();
-  const int64_t evictions = reader.GetI64();
-  const int64_t readded = reader.GetI64();
-  const int64_t swaps = reader.GetI64();
+  options.block_ops = reader->GetI32();
+  const uint8_t reserved = reader->GetU8();  // 0 or 1; see SaveTo.
+  const int64_t updates_applied = reader->GetI64();
+  const double update_seconds = reader->GetDouble();
+  const double resolve_seconds = reader->GetDouble();
+  const int64_t barriers = reader->GetI64();
+  const int64_t conflicts = reader->GetI64();
+  const int64_t evictions = reader->GetI64();
+  const int64_t readded = reader->GetI64();
+  const int64_t swaps = reader->GetI64();
   std::vector<int32_t> owners;
-  if (!reader.GetI32Array(&owners)) {
-    report(reader.status());
+  if (!reader->GetI32Array(&owners)) {
+    report(reader->status());
     return nullptr;
   }
-  if (reader.ok() && !reader.AtSectionEnd()) {
-    reader.Fail("snapshot: sharded: trailing bytes after the last field");
+  if (reader->ok() && !reader->AtSectionEnd()) {
+    reader->Fail("snapshot: sharded: trailing bytes after the last field");
   }
-  if (!reader.ok()) {
-    report(reader.status());
+  if (!reader->ok()) {
+    report(reader->status());
     return nullptr;
   }
   if (!MaintainerRegistry::Global().Has(config.algorithm)) {
@@ -626,10 +631,10 @@ std::unique_ptr<ShardedMisEngine> ShardedMisEngine::LoadSnapshot(
 
   std::unique_ptr<ShardedMisEngine> engine(new ShardedMisEngine(
       std::move(config), options, plan, /*initial_vertices=*/0));
-  if (!engine->LoadShards(&reader)) {
-    report(reader.ok() ? SnapshotStatus::Error(
-                             "snapshot: sharded: shard restore failed")
-                       : reader.status());
+  if (!engine->LoadShards(reader)) {
+    report(reader->ok() ? SnapshotStatus::Error(
+                              "snapshot: sharded: shard restore failed")
+                        : reader->status());
     return nullptr;
   }
   if (locality) {

@@ -372,10 +372,34 @@ TEST(SnapshotTest, RejectsUnknownAlgorithmAndMissingSections) {
   }
 }
 
-TEST(SnapshotTest, RejectsSemanticallyCorruptMaintainerState) {
-  // A CRC-valid snapshot whose graph is fine but whose "mis" section marks
-  // both endpoints of an edge as solution members: LoadSnapshot must reject
-  // it during MisState validation, not abort (or loop) in a later update.
+// The eager DyTwoSwap "mis" arrays of a valid state on the path
+// 0 -(e0)- 1 -(e1)- 2 -(e2)- 3 with solution {0, 2}: vertex 1 has count 2
+// (I(1) = e0 -> e1, in bar2(0) by e0 and bar2(2) by e1), vertex 3 count 1
+// (I(3) = e2, in bar1(2)). Link arrays hold (next, prev) per slot
+// 2 * e + side, where side is the owner's endpoint index in the edge.
+struct PathMisState {
+  int64_t solution_size = 2;
+  std::vector<uint8_t> status = {1, 0, 1, 0};
+  std::vector<int32_t> count = {0, 2, 0, 1};
+  std::vector<int32_t> inb_head = {-1, 0, -1, 2};
+  std::vector<int32_t> bar1_head = {-1, -1, 2, -1};
+  std::vector<int32_t> bar1_size = {0, 0, 1, 0};
+  std::vector<int32_t> bar1_edge = {-1, -1, -1, 2};
+  // Slots 1 (e0 at vertex 1) -> 2 (e1 at vertex 1); slot 5 (e2 at 3).
+  std::vector<int32_t> inb_links = {-1, -1, 1, -1, -1, 0,
+                                    -1, -1, -1, -1, -1, -1};
+  std::vector<int32_t> bar1_links = std::vector<int32_t>(12, -1);
+  std::vector<int32_t> bar2_head = {0, -1, 1, -1};
+  std::vector<int32_t> bar2_edge0 = {-1, 0, -1, -1};
+  std::vector<int32_t> bar2_edge1 = {-1, 1, -1, -1};
+  std::vector<int32_t> bar2_links = std::vector<int32_t>(12, -1);
+};
+
+std::string PathSnapshot(const PathMisState& mis) {
+  DynamicGraph graph(4);
+  graph.AddEdge(0, 1);
+  graph.AddEdge(1, 2);
+  graph.AddEdge(2, 3);
   SnapshotWriter w;
   w.BeginSection("engine");
   w.PutString("DyTwoSwap");
@@ -387,42 +411,106 @@ TEST(SnapshotTest, RejectsSemanticallyCorruptMaintainerState) {
   w.PutI64(0);
   w.PutDouble(0);
   w.EndSection();
-  w.BeginSection("graph");
-  w.PutI64(2);                    // num_vertices
-  w.PutI64(1);                    // num_edges
-  w.PutI32(2);                    // vertex capacity
-  w.PutI32(1);                    // edge capacity
-  w.PutI32Array({0, 0});          // heads
-  w.PutI32Array({1, 1});          // degrees
-  w.PutI32Array({0, 1, -1, -1});  // edge (0, 1), end of both chains
-  w.PutI32Array({-1, -1});        // edge_prev
-  w.PutI32Array({});              // free vertices
-  w.PutI32Array({});              // free edges
-  w.EndSection();
+  graph.SaveTo(&w);
   w.BeginSection("mis");
-  w.PutI32(2);                         // k
-  w.PutU8(0);                          // eager
-  w.PutI64(2);                         // |I| = 2 — adjacent pair!
-  w.PutU8Array({1, 1});                // status
-  w.PutI32Array({0, 0});               // count
-  w.PutI32Array({-1, -1});             // inb_head
-  w.PutI32Array({-1, -1});             // bar1_head
-  w.PutI32Array({0, 0});               // bar1_size
-  w.PutI32Array({-1, -1});             // bar1_edge
-  w.PutI32Array({-1, -1, -1, -1});     // inb_links
-  w.PutI32Array({-1, -1, -1, -1});     // bar1_links
-  w.PutI32Array({-1, -1});             // bar2_head
-  w.PutI32Array({-1, -1});             // bar2_edge0
-  w.PutI32Array({-1, -1});             // bar2_edge1
-  w.PutI32Array({-1, -1, -1, -1});     // bar2_links
+  w.PutI32(2);  // k
+  w.PutU8(0);   // eager
+  w.PutI64(mis.solution_size);
+  w.PutU8Array(mis.status);
+  w.PutI32Array(mis.count);
+  w.PutI32Array(mis.inb_head);
+  w.PutI32Array(mis.bar1_head);
+  w.PutI32Array(mis.bar1_size);
+  w.PutI32Array(mis.bar1_edge);
+  w.PutI32Array(mis.inb_links);
+  w.PutI32Array(mis.bar1_links);
+  w.PutI32Array(mis.bar2_head);
+  w.PutI32Array(mis.bar2_edge0);
+  w.PutI32Array(mis.bar2_edge1);
+  w.PutI32Array(mis.bar2_links);
   w.EndSection();
   std::ostringstream out;
-  ASSERT_TRUE(w.WriteTo(out).ok);
+  EXPECT_TRUE(w.WriteTo(out).ok);
+  return std::move(out).str();
+}
+
+TEST(SnapshotTest, HandBuiltPathMaintainerStateLoadsAndResumes) {
   SnapshotStatus status;
-  EXPECT_EQ(LoadFromString(std::move(out).str(), &status), nullptr);
-  EXPECT_FALSE(status.ok);
-  EXPECT_NE(status.message.find("independent"), std::string::npos)
-      << status.message;
+  auto engine = LoadFromString(PathSnapshot(PathMisState{}), &status);
+  ASSERT_NE(engine, nullptr) << status.message;
+  EXPECT_EQ(SortedSolution(*engine), (std::vector<VertexId>{0, 2}));
+  CheckCoreConsistency(engine->maintainer());
+  // Each deletion unlinks through the restored back-links.
+  engine->DeleteEdge(0, 1);
+  engine->DeleteEdge(2, 3);
+  CheckCoreConsistency(engine->maintainer());
+  EXPECT_TRUE(IsMaximalIndependentSet(engine->graph(), engine->Solution()));
+}
+
+TEST(SnapshotTest, RejectsSemanticallyCorruptMaintainerState) {
+  // CRC-valid snapshots whose graph is fine but whose "mis" section breaks
+  // one invariant each: LoadSnapshot must reject every one during MisState
+  // validation, naming the check, not abort (or loop) in a later update.
+  struct Row {
+    const char* expected;
+    void (*corrupt)(PathMisState*);
+  };
+  const Row rows[] = {
+      {"solution is not independent",
+       [](PathMisState* m) {
+         m->status[1] = 1;
+         m->solution_size = 3;
+       }},
+      {"solution vertex with nonzero count",
+       [](PathMisState* m) { m->count[0] = 1; }},
+      {"count does not match solution neighbourhood",
+       [](PathMisState* m) { m->count[1] = 1; }},
+      {"solution is not maximal",
+       [](PathMisState* m) {
+         m->status[2] = 0;
+         m->solution_size = 1;
+         m->count[1] = 1;
+         m->count[3] = 0;
+       }},
+      {"I(v) list structure invalid",
+       [](PathMisState* m) { m->inb_head[3] = -1; }},
+      // The second I(1) slot's back-link names no edge: Unlink would trust
+      // it, make e1 the head of I(1) and leave the real head dangling.
+      {"I(v) list structure invalid",
+       [](PathMisState* m) { m->inb_links[5] = -1; }},
+      {"bar1 list structure invalid",
+       [](PathMisState* m) { m->bar1_size[2] = 2; }},
+      {"bar1 membership record mismatch",
+       [](PathMisState* m) { m->bar1_edge[1] = 0; }},
+      {"count-1 vertex missing from its owner's bar1 list",
+       [](PathMisState* m) {
+         m->bar1_head[2] = -1;
+         m->bar1_size[2] = 0;
+         m->bar1_edge[3] = -1;
+       }},
+      {"bar2 list structure invalid",
+       [](PathMisState* m) { m->bar2_head[0] = 2; }},
+      {"bar2 membership record mismatch",
+       [](PathMisState* m) { m->bar2_edge0[3] = 2; }},
+      {"count-2 vertex missing from its bar2 lists",
+       [](PathMisState* m) {
+         m->bar2_head[2] = -1;
+         m->bar2_edge1[1] = -1;
+       }},
+  };
+  for (const Row& row : rows) {
+    PathMisState mis;
+    row.corrupt(&mis);
+    SnapshotStatus status;
+    EXPECT_EQ(LoadFromString(PathSnapshot(mis), &status), nullptr)
+        << row.expected;
+    EXPECT_FALSE(status.ok) << row.expected;
+    EXPECT_NE(status.message.find(std::string("snapshot: mis: ") +
+                                  row.expected),
+              std::string::npos)
+        << "expected '" << row.expected << "', got '" << status.message
+        << "'";
+  }
 }
 
 TEST(SnapshotTest, RejectsNonMaximalMaintainerState) {
@@ -528,6 +616,15 @@ TEST(SnapshotTest, RejectsStructurallyInvalidGraphSections) {
   const std::vector<int32_t> twin_edges = {0, 1, 1, 1, 0, 1, -1, -1};
   message = load(2, 2, {0, 0}, {2, 2}, twin_edges, {-1, -1, 0, 0});
   EXPECT_NE(message.find("graph: parallel edges"), std::string::npos)
+      << message;
+
+  // Vertex 0's chain (degree 2) loops back onto its head edge e0 instead of
+  // reaching e1: counts, bounds and the first back-link all hold, and the
+  // revisit is caught because e0's back-link cannot name e0.
+  const std::vector<int32_t> looped_edges = {0, 1, 0, -1, 0, 2, -1, -1};
+  message = load(3, 2, {0, 0, 1}, {2, 1, 1}, looped_edges, {-1, -1, 0, -1});
+  EXPECT_NE(message.find("graph: adjacency back-link mismatch"),
+            std::string::npos)
       << message;
 
   // An edge array that is not a whole number of four-field records.
